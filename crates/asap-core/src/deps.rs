@@ -21,7 +21,6 @@
 //! and epochs in timestamp order, keeping iteration deterministic.
 
 use asap_sim_core::{EpochId, ThreadId};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-epoch record, indexed by `[thread][ts]`.
 #[derive(Debug, Clone, Default)]
@@ -52,8 +51,8 @@ struct EpochSlot {
 /// g.ensure(a);
 /// g.ensure(b);
 /// g.add_cross_dep(b, a); // b depends on a
-/// assert!(g.transitive_deps(b).contains(&a));
-/// assert!(g.topological_order().is_some()); // acyclic
+/// assert_eq!(g.direct_deps(b), vec![a]);
+/// assert_eq!(g.topological_order(), Some(vec![a, b])); // acyclic
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DepGraph {
@@ -224,63 +223,43 @@ impl DepGraph {
         out
     }
 
-    /// The transitive closure of [`direct_deps`](Self::direct_deps).
-    pub fn transitive_deps(&self, e: EpochId) -> HashSet<EpochId> {
-        let mut seen = HashSet::new();
-        let mut queue: VecDeque<EpochId> = self.direct_deps(e).into();
-        while let Some(d) = queue.pop_front() {
-            if seen.insert(d) {
-                queue.extend(self.direct_deps(d));
-            }
-        }
-        seen
-    }
-
-    /// All nodes reachable as dependencies plus registered nodes.
-    fn all_nodes(&self) -> HashSet<EpochId> {
-        let mut nodes: HashSet<EpochId> = self.nodes().collect();
-        // Intra-thread predecessors of registered nodes (ts gaps cannot
-        // occur, but be permissive).
-        for (t, lane) in self.threads.iter().enumerate() {
-            for ts in 0..lane.len() {
-                nodes.insert(EpochId::new(ThreadId(t), ts as u64));
-            }
-        }
-        nodes
-    }
-
-    /// Kahn's algorithm: returns a topological order, or `None` if the
-    /// graph has a cycle (which would falsify the paper's Lemma 0.1 and
-    /// indicate a protocol bug).
+    /// A topological order of every lane slot (each `[thread][ts]` up to
+    /// the thread's highest registered timestamp, gaps included), or
+    /// `None` if the graph has a cycle (which would falsify the paper's
+    /// Lemma 0.1 and indicate a protocol bug).
+    ///
+    /// Kahn's algorithm over the dense lanes: program order already
+    /// sequences each thread, so a thread's frontier advances while its
+    /// next epoch's cross sources lie behind their own threads' frontiers.
+    /// A thread that blocks waits on the source's thread and is woken
+    /// when that thread advances. The graph is cyclic exactly when every
+    /// unfinished thread stays blocked.
     pub fn topological_order(&self) -> Option<Vec<EpochId>> {
-        let nodes = self.all_nodes();
-        let mut indegree: HashMap<EpochId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        let mut forward: HashMap<EpochId, Vec<EpochId>> = HashMap::new();
-        for &n in &nodes {
-            for d in self.direct_deps(n) {
-                if nodes.contains(&d) {
-                    *indegree.get_mut(&n).expect("node present") += 1;
-                    forward.entry(d).or_default().push(n);
+        let lanes = self.threads.len();
+        let mut frontier = vec![0usize; lanes];
+        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); lanes];
+        let mut runnable: Vec<usize> = (0..lanes).rev().collect();
+        let slots: usize = self.threads.iter().map(Vec::len).sum();
+        let mut order = Vec::with_capacity(slots);
+        while let Some(t) = runnable.pop() {
+            let start = frontier[t];
+            while let Some(slot) = self.threads[t].get(frontier[t]) {
+                let blocker = slot
+                    .cross
+                    .iter()
+                    .find(|s| s.ts as usize >= frontier[s.thread.0]);
+                if let Some(src) = blocker {
+                    waiting[src.thread.0].push(t);
+                    break;
                 }
+                order.push(EpochId::new(ThreadId(t), frontier[t] as u64));
+                frontier[t] += 1;
+            }
+            if frontier[t] > start {
+                runnable.append(&mut waiting[t]);
             }
         }
-        let mut ready: VecDeque<EpochId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut order = Vec::with_capacity(nodes.len());
-        while let Some(n) = ready.pop_front() {
-            order.push(n);
-            for &succ in forward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                let d = indegree.get_mut(&succ).expect("node present");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push_back(succ);
-                }
-            }
-        }
-        (order.len() == nodes.len()).then_some(order)
+        (order.len() == slots).then_some(order)
     }
 }
 
@@ -298,21 +277,23 @@ mod tests {
         g.ensure(ep(0, 2));
         let deps = g.direct_deps(ep(0, 2));
         assert_eq!(deps, vec![ep(0, 1)]);
-        let trans = g.transitive_deps(ep(0, 2));
-        assert!(trans.contains(&ep(0, 1)));
-        assert!(trans.contains(&ep(0, 0)));
-        assert_eq!(trans.len(), 2);
+        // The unregistered gap slots still take part in the order.
+        assert_eq!(
+            g.topological_order(),
+            Some(vec![ep(0, 0), ep(0, 1), ep(0, 2)])
+        );
     }
 
     #[test]
     fn cross_deps_compose_transitively() {
         let mut g = DepGraph::new();
         g.add_cross_dep(ep(1, 1), ep(0, 3));
-        let trans = g.transitive_deps(ep(1, 1));
-        assert!(trans.contains(&ep(0, 3)));
-        assert!(trans.contains(&ep(0, 0)));
-        assert!(trans.contains(&ep(1, 0)));
-        assert!(!trans.contains(&ep(1, 1))); // not its own dep
+        assert_eq!(g.direct_deps(ep(1, 1)), vec![ep(1, 0), ep(0, 3)]);
+        let order = g.topological_order().expect("acyclic");
+        let pos = |e: EpochId| order.iter().position(|&x| x == e).unwrap();
+        assert!(pos(ep(0, 0)) < pos(ep(0, 3)));
+        assert!(pos(ep(0, 3)) < pos(ep(1, 1)));
+        assert!(pos(ep(1, 0)) < pos(ep(1, 1)));
     }
 
     #[test]
@@ -349,11 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn blocked_thread_resumes_when_its_source_advances() {
+        // Thread 0 blocks on thread 1, which blocks on thread 2.
+        let mut g = DepGraph::new();
+        g.add_cross_dep(ep(0, 1), ep(1, 2));
+        g.add_cross_dep(ep(1, 1), ep(2, 1));
+        assert_eq!(
+            g.topological_order(),
+            Some(vec![
+                ep(0, 0),
+                ep(1, 0),
+                ep(2, 0),
+                ep(2, 1),
+                ep(1, 1),
+                ep(1, 2),
+                ep(0, 1),
+            ])
+        );
+    }
+
+    #[test]
     fn first_epochs_have_no_deps() {
         let mut g = DepGraph::new();
         g.ensure(ep(3, 0));
         assert!(g.direct_deps(ep(3, 0)).is_empty());
-        assert!(g.transitive_deps(ep(3, 0)).is_empty());
     }
 
     #[test]

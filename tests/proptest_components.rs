@@ -1,6 +1,7 @@
 //! Randomized property tests on the core data structures and invariants:
 //! allocator disjointness, recovery-table state machine, Bloom filter,
-//! event-queue ordering, histogram percentiles and the dependency DAG.
+//! event-queue ordering, histogram percentiles, the dependency DAG and
+//! the crash oracle against its quadratic reference.
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
 //! case, so every failure is reproducible from the printed case number)
@@ -9,13 +10,14 @@
 
 use asap::cache::CountingBloom;
 use asap::mc::RecoveryTable;
-use asap::model::DepGraph;
-use asap::pm::{NvmImage, PmAllocator, PmSpace};
+use asap::model::oracle;
+use asap::model::{CrashReport, DepGraph, Violation, ViolationRule};
+use asap::pm::{NvmImage, PmAllocator, PmSpace, WriteJournal, WriteSeq};
 use asap::sim::{
     Cycle, DetRng, EpochId, EventQueue, Histogram, LineAddr, LineIdx, LineTable, LogHistogram,
     ThreadId,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 const CASES: u64 = 64;
 
@@ -446,6 +448,78 @@ impl MapDepGraph {
         }
         seen
     }
+
+    /// Every `[thread][ts]` slot up to each thread's highest registered
+    /// timestamp, gaps included, in thread-major order.
+    fn lane_slots(&self) -> Vec<EpochId> {
+        let mut top: BTreeMap<ThreadId, u64> = BTreeMap::new();
+        for e in self.created.keys() {
+            let t = top.entry(e.thread).or_insert(e.ts);
+            *t = (*t).max(e.ts);
+        }
+        top.into_iter()
+            .flat_map(|(t, max)| (0..=max).map(move |ts| EpochId::new(t, ts)))
+            .collect()
+    }
+
+    /// Kahn's algorithm over hash maps, as the graph did it before its
+    /// lanes were dense: `None` exactly when the lane slots hold a cycle.
+    fn topological_order(&self) -> Option<Vec<EpochId>> {
+        let nodes: HashSet<EpochId> = self.lane_slots().into_iter().collect();
+        let mut indegree: HashMap<EpochId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
+        let mut forward: HashMap<EpochId, Vec<EpochId>> = HashMap::new();
+        for &n in &nodes {
+            for d in self.direct_deps(n) {
+                *indegree.get_mut(&n).expect("node present") += 1;
+                forward.entry(d).or_default().push(n);
+            }
+        }
+        let mut ready: VecDeque<EpochId> = indegree
+            .iter()
+            .filter(|(_, &d)| d == 0)
+            .map(|(&n, _)| n)
+            .collect();
+        let mut order = Vec::with_capacity(nodes.len());
+        while let Some(n) = ready.pop_front() {
+            order.push(n);
+            for &succ in forward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
+                let d = indegree.get_mut(&succ).expect("node present");
+                *d -= 1;
+                if *d == 0 {
+                    ready.push_back(succ);
+                }
+            }
+        }
+        (order.len() == nodes.len()).then_some(order)
+    }
+}
+
+/// The dense graph's topological order agrees with the map model on
+/// whether one exists, and when it does, it lists every lane slot once
+/// with each epoch after all of its direct dependencies.
+fn assert_topological_order_matches(dense: &DepGraph, model: &MapDepGraph, case: u64) {
+    let order = dense.topological_order();
+    assert_eq!(
+        order.is_none(),
+        model.topological_order().is_none(),
+        "case {case}: cycle verdicts differ"
+    );
+    let Some(order) = order else {
+        return;
+    };
+    let pos: HashMap<EpochId, usize> = order.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+    assert_eq!(pos.len(), order.len(), "case {case}: a slot listed twice");
+    let mut slots = order.clone();
+    slots.sort();
+    assert_eq!(slots, model.lane_slots(), "case {case}: lane slots covered");
+    for (i, &e) in order.iter().enumerate() {
+        for d in model.direct_deps(e) {
+            assert!(
+                pos[&d] < i,
+                "case {case}: {e:?} placed before its dep {d:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -524,12 +598,246 @@ fn dense_dep_graph_matches_map_model() {
                     model.direct_deps(e),
                     "case {case} {e:?}"
                 );
-                assert_eq!(
-                    dense.transitive_deps(e),
-                    model.transitive_deps(e),
-                    "case {case} {e:?}"
-                );
+            }
+        }
+        assert_topological_order_matches(&dense, &model, case);
+    }
+}
+
+// ---- crash oracle vs its quadratic reference ----
+
+/// The crash oracle as it was before the watermark pass: one
+/// transitive-closure BFS per visible and per committed epoch, over the
+/// map model. Kept as the reference the linear pass must match, report
+/// for report.
+fn reference_check(journal: &WriteJournal, model: &MapDepGraph, nvm: &NvmImage) -> CrashReport {
+    let mut report = CrashReport {
+        epochs_committed: model.committed.len(),
+        ..CrashReport::default()
+    };
+    if model.topological_order().is_none() {
+        report.violations.push(Violation {
+            rule: ViolationRule::DepCycle,
+            message: "epoch dependency graph contains a cycle (Lemma 0.1 violated)".to_string(),
+        });
+    }
+
+    let mut epoch_writes: BTreeMap<EpochId, Vec<(LineAddr, u64)>> = BTreeMap::new();
+    for e in journal.entries() {
+        let Some(epoch) = e.epoch else {
+            continue;
+        };
+        let writes = epoch_writes.entry(epoch).or_default();
+        match writes.iter_mut().find(|(l, _)| *l == e.line) {
+            Some((_, s)) => *s = (*s).max(e.seq.0),
+            None => writes.push((e.line, e.seq.0)),
+        }
+    }
+
+    let mut visible: BTreeSet<EpochId> = BTreeSet::new();
+    for (&line, rec) in nvm.iter() {
+        report.lines_checked += 1;
+        match rec.seq {
+            Some(seq) => {
+                let Some(entry) = journal.get(WriteSeq(seq)) else {
+                    report.violations.push(Violation {
+                        rule: ViolationRule::JournalIntegrity,
+                        message: format!("line {line}: owner seq {seq} not in journal"),
+                    });
+                    continue;
+                };
+                if entry.line != line {
+                    report.violations.push(Violation {
+                        rule: ViolationRule::JournalIntegrity,
+                        message: format!(
+                            "line {line}: owner seq {seq} journaled for different line {}",
+                            entry.line
+                        ),
+                    });
+                    continue;
+                }
+                if entry.data != rec.data {
+                    report.violations.push(Violation {
+                        rule: ViolationRule::TornValue,
+                        message: format!(
+                            "line {line}: recovered bytes differ from journaled write seq {seq} \
+                             (Fig. 5-style lost update?)"
+                        ),
+                    });
+                }
+                if let Some(e) = rec.epoch {
+                    visible.insert(e);
+                }
+            }
+            None => {
+                if !nvm.is_preinit(line) && rec.data.iter().any(|&b| b != 0) {
+                    report.violations.push(Violation {
+                        rule: ViolationRule::UntaggedNonZero,
+                        message: format!("line {line}: untagged recovered line is non-zero"),
+                    });
+                }
             }
         }
     }
+    report.epochs_visible = visible.len();
+
+    let mut obligated: BTreeSet<EpochId> = BTreeSet::new();
+    for &e in &visible {
+        obligated.extend(model.transitive_deps(e));
+    }
+    for &e in model.committed.keys() {
+        obligated.insert(e);
+        obligated.extend(model.transitive_deps(e));
+    }
+    for e in obligated {
+        let Some(writes) = epoch_writes.get(&e) else {
+            continue;
+        };
+        for &(line, max_seq) in writes {
+            let rec = nvm.line(line);
+            if rec.seq.is_some_and(|s| s >= max_seq) {
+                continue;
+            }
+            let (rule, why) = if model.committed.contains_key(&e) {
+                (
+                    ViolationRule::CommittedWriteLost,
+                    "committed epoch lost a write (Lemma 1.1 violated)",
+                )
+            } else {
+                (
+                    ViolationRule::OrderingViolated,
+                    "dependency of a visible epoch lost a write (ordering violated)",
+                )
+            };
+            report.violations.push(Violation {
+                rule,
+                message: format!(
+                    "epoch {e}: write seq {max_seq} to {line} did not survive \
+                     (recovered owner seq {:?}): {why}",
+                    rec.seq
+                ),
+            });
+        }
+    }
+    report
+}
+
+/// A random epoch on a thread below `threads`, with a timestamp below
+/// `ts_bound`.
+fn random_epoch(rng: &mut DetRng, threads: usize, ts_bound: u64) -> EpochId {
+    EpochId::new(ThreadId(rng.index(threads)), rng.below(ts_bound))
+}
+
+/// `oracle::check` returns exactly the reference's report, violation
+/// order included, on random graphs (timestamp gaps, self-loops,
+/// multi-thread cycles, cross edges to far-future timestamps), random
+/// journals with unexecuted writes, and random recovered images with
+/// lost, stale, torn, dangling and untagged lines.
+#[test]
+fn oracle_matches_quadratic_reference() {
+    let mut seen_rules: BTreeSet<ViolationRule> = BTreeSet::new();
+    let mut consistent = 0;
+    for case in 0..4 * CASES {
+        let mut rng = case_rng(12, case);
+        let threads = rng.index(4) + 1;
+        // A third of the cases only add protocol-shaped (older-source)
+        // edges, so plenty of graphs stay acyclic.
+        let protocol_shaped = case % 3 == 0;
+        let mut dense = DepGraph::new();
+        let mut model = MapDepGraph::default();
+        for _ in 0..rng.index(40) {
+            let e = random_epoch(&mut rng, threads, 12);
+            match rng.index(4) {
+                0 => {
+                    dense.ensure(e);
+                    model.ensure(e);
+                }
+                1 | 2 => {
+                    let mut src = random_epoch(&mut rng, threads, 12);
+                    if protocol_shaped {
+                        if src.ts >= e.ts {
+                            continue;
+                        }
+                    } else if rng.chance(0.1) {
+                        src = e; // self-loop
+                    } else if rng.chance(0.1) {
+                        src.ts += 20 + rng.below(20); // far future
+                    }
+                    dense.add_cross_dep(e, src);
+                    model.add_cross_dep(e, src);
+                }
+                _ => {
+                    dense.mark_committed(e);
+                    model.mark_committed(e);
+                }
+            }
+        }
+        assert_topological_order_matches(&dense, &model, case);
+
+        // Journal: writes to a small line universe, most executed in a
+        // random epoch, possibly one the graph never registered (even on
+        // a thread it has no lane for).
+        let lines = rng.below(12) + 1;
+        let mut journal = WriteJournal::enabled();
+        let mut by_line: BTreeMap<u64, Vec<WriteSeq>> = BTreeMap::new();
+        for _ in 0..rng.index(48) {
+            let line = rng.below(lines);
+            let seq = journal.record(
+                LineAddr::containing(line * 64),
+                [rng.below(255) as u8 + 1; 64],
+            );
+            if rng.chance(0.85) {
+                journal.assign_epoch(seq, random_epoch(&mut rng, threads + 1, 14));
+            }
+            by_line.entry(line).or_default().push(seq);
+        }
+
+        // Recovered image: per line, the last write, a stale one, none,
+        // or a corrupted record.
+        let mut nvm = NvmImage::new();
+        for line in 0..lines {
+            let addr = LineAddr::containing(line * 64);
+            let writes = by_line.get(&line).map(Vec::as_slice).unwrap_or(&[]);
+            let pick = match writes {
+                [] => None,
+                [.., last] if rng.chance(0.5) => Some(*last),
+                _ => Some(writes[rng.index(writes.len())]),
+            };
+            match (pick, rng.index(20)) {
+                (Some(seq), 0..=13) => {
+                    let e = journal.get(seq).expect("journaled");
+                    nvm.persist(addr, e.data, Some(seq.0), e.epoch);
+                }
+                (Some(seq), 14) => {
+                    let e = journal.get(seq).expect("journaled");
+                    nvm.persist(addr, [0xEE; 64], Some(seq.0), e.epoch);
+                }
+                (Some(seq), 15) => {
+                    let e = journal.get(seq).expect("journaled");
+                    let tag = random_epoch(&mut rng, threads + 1, 14);
+                    nvm.persist(addr, e.data, Some(seq.0), Some(tag));
+                }
+                (_, 16) => {
+                    // Another line's seq, or one past the journal's end.
+                    let seq = rng.below(journal.writes_issued() + 2);
+                    nvm.persist(addr, [1; 64], Some(seq), None);
+                }
+                (_, 17) => nvm.persist(addr, [2; 64], None, None),
+                (_, 18) => nvm.preinit(addr, [3; 64]),
+                _ => {} // lost: never reached the media
+            }
+        }
+
+        let got = oracle::check(&journal, &dense, &nvm);
+        let want = reference_check(&journal, &model, &nvm);
+        assert_eq!(got, want, "case {case}");
+        seen_rules.extend(got.violations.iter().map(|v| v.rule));
+        consistent += usize::from(got.is_consistent());
+    }
+    assert_eq!(
+        seen_rules.into_iter().collect::<Vec<_>>(),
+        ViolationRule::ALL.to_vec(),
+        "every rule exercised"
+    );
+    assert!(consistent > 0, "some cases must be consistent");
 }
