@@ -98,10 +98,7 @@ pub use ops::{BurstCtx, BurstStatus, MemOp, ThreadProgram};
 pub use oracle::{CrashReport, OracleError, Violation, ViolationRule};
 pub use pb::{PbEntry, PbEntryState, PersistBuffer};
 pub use race::{RaceFinding, RaceReport};
-pub use sim::{
-    default_queue_kind, set_default_queue_kind, BoundaryKind, CrashPoints, KeyMask, Sim,
-    SimBuilder, SimOutcome,
-};
+pub use sim::{BoundaryKind, CrashPoints, KeyMask, Sim, SimBuilder, SimOutcome};
 
 // Re-export the model/flavor selectors where users expect them.
-pub use asap_sim_core::{Flavor, ModelKind, QueueKind};
+pub use asap_sim_core::{Flavor, ModelKind};

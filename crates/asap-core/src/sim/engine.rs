@@ -12,8 +12,8 @@ use asap_cache_sim::{CoherenceHub, CountingBloom, WriteBackBuffer};
 use asap_memctrl::MemController;
 use asap_pm_mem::{NvmImage, PmSpace, SnapshotPool, WriteJournal};
 use asap_sim_core::{
-    Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, NullTracer, QueueKind,
-    Sampler, ShardedEventQueue, SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer,
+    Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, NullTracer, Sampler,
+    SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer,
 };
 use std::collections::VecDeque;
 
@@ -108,63 +108,13 @@ pub(super) enum Event {
     Sample,
 }
 
-/// The engine's event queue, behind the `--queue=sharded|heap` escape
-/// hatch. Both variants produce bit-identical dispatch order (the
-/// sharded queue shares one global sequence counter, so the
-/// min-of-shards merge reproduces the single heap's total order); the
-/// enum exists so a queue regression can be bisected without a rebuild.
-pub(super) enum SimQueue {
-    Heap(EventQueue<Event>),
-    Sharded(ShardedEventQueue<Event>),
-}
-
-impl SimQueue {
-    fn with_capacity(kind: QueueKind, num_shards: usize, cap: usize) -> SimQueue {
-        match kind {
-            QueueKind::Heap => SimQueue::Heap(EventQueue::with_capacity(cap)),
-            QueueKind::Sharded => {
-                SimQueue::Sharded(ShardedEventQueue::with_capacity(num_shards, cap))
-            }
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, shard: usize, at: Cycle, ev: Event) {
-        match self {
-            SimQueue::Heap(q) => q.push(at, ev),
-            SimQueue::Sharded(q) => q.push(shard, at, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Cycle, Event)> {
-        match self {
-            SimQueue::Heap(q) => q.pop(),
-            SimQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<Cycle> {
-        match self {
-            SimQueue::Heap(q) => q.peek_time(),
-            SimQueue::Sharded(q) => q.peek_time(),
-        }
-    }
-}
-
 /// The shared machine: everything of Table II that exists regardless of
 /// the persistency design being simulated.
 pub(super) struct Engine {
     pub cfg: SimConfig,
     pub flavor: Flavor,
     pub now: Cycle,
-    pub queue: SimQueue,
-    /// Number of core-group shards in the sharded queue; MC shards
-    /// follow at `core_shards..core_shards + mc_shards`.
-    pub core_shards: usize,
-    /// Number of MC shards (memory controllers share them modulo this).
-    pub mc_shards: usize,
+    pub queue: EventQueue<Event>,
     pub cores: Vec<Core>,
     pub programs: Vec<Box<dyn ThreadProgram>>,
     pub hub: CoherenceHub,
@@ -235,7 +185,6 @@ impl Engine {
         journal: bool,
         uses_pb: bool,
         flush_engine: bool,
-        queue_kind: QueueKind,
     ) -> Engine {
         let n = cfg.num_cores;
         let mut cores = Vec::with_capacity(n);
@@ -268,22 +217,15 @@ impl Engine {
         let mcs = (0..cfg.num_mcs)
             .map(|i| MemController::new(McId(i), &cfg))
             .collect();
-        // Pre-size the event queue to the steady-state population: each
-        // core keeps at most a step plus its in-flight flushes pending,
-        // each MC a handful of commit/reply messages. Sweeps run many
-        // thousands of sims; never re-growing the heap is measurable.
+        // Pre-size the event queue's node slab to the steady-state
+        // population: each core keeps at most a step plus its in-flight
+        // flushes pending, each MC a handful of commit/reply messages.
+        // Sweeps run many thousands of sims; never re-growing the slab
+        // is measurable.
         let cap = n * (cfg.pb_entries + 16) + cfg.num_mcs * 16;
-        // Core events share a couple of shards (grouped by thread id)
-        // and the MCs share a couple more. The event population per sim
-        // is small (a few hundred), so per-shard heaps are shallow at
-        // any width — what the merge front pays for every pop is one
-        // compare per shard head, which makes a *narrow* front the win.
-        let core_shards = n.min(2);
-        let mc_shards = cfg.num_mcs.min(2);
-        debug_assert!(core_shards.is_power_of_two() && mc_shards.is_power_of_two());
-        let mut queue = SimQueue::with_capacity(queue_kind, core_shards + mc_shards, cap);
+        let mut queue = EventQueue::with_capacity(cap);
         for i in 0..n {
-            queue.push(i % core_shards, Cycle::ZERO, Event::CoreStep(i));
+            queue.push(Cycle::ZERO, Event::CoreStep(i));
         }
         let nack_filters = (0..cfg.num_mcs)
             .map(|_| CountingBloom::new(1024, 3))
@@ -293,8 +235,6 @@ impl Engine {
             flavor,
             now: Cycle::ZERO,
             queue,
-            core_shards,
-            mc_shards,
             cores,
             programs,
             hub,
@@ -348,7 +288,7 @@ impl Engine {
     ) {
         const EVENT_BUDGET: u64 = 2_000_000_000;
         while !self.all_done() {
-            // Unbounded runs (the common case) pop directly: one merge
+            // Unbounded runs (the common case) pop directly: one bucket
             // scan per event instead of a peek followed by a pop.
             if let Some(l) = limit {
                 match self.queue.peek_time() {
@@ -580,32 +520,8 @@ impl Engine {
     // Scheduling helpers
     // ---------------------------------------------------------------
 
-    /// Deterministic shard routing: MC-addressed messages land on that
-    /// MC's shard, core-addressed events on the core's group shard.
-    /// Routing affects locality only — the global sequence counter keeps
-    /// pop order identical under any routing (and under the heap queue).
-    #[inline]
-    fn shard_of(&self, ev: &Event) -> usize {
-        match *ev {
-            Event::CoreStep(t)
-            | Event::TryFlush(t)
-            | Event::FlushReply { tid: t, .. }
-            | Event::SyncFlushReply { tid: t }
-            | Event::CdrArrive { tid: t, .. }
-            // Both shard counts are 1 or 2 (powers of two), so routing
-            // is a mask, not a division — this runs once per push.
-            | Event::HopsPoll { tid: t } => t & (self.core_shards - 1),
-            Event::CommitAckArrive { epoch } => epoch.thread.0 & (self.core_shards - 1),
-            Event::FlushArrive { mc, .. }
-            | Event::SyncFlushArrive { mc, .. }
-            | Event::CommitArrive { mc, .. } => self.core_shards + (mc & (self.mc_shards - 1)),
-            Event::Sample => 0,
-        }
-    }
-
     pub(super) fn schedule(&mut self, at: Cycle, ev: Event) {
-        let shard = self.shard_of(&ev);
-        self.queue.push(shard, at.max(self.now), ev);
+        self.queue.push(at.max(self.now), ev);
     }
 
     pub(super) fn schedule_step(&mut self, t: usize, at: Cycle) {

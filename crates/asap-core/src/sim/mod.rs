@@ -66,36 +66,10 @@ pub use collect::{BoundaryKind, CrashPoints, KeyMask};
 use crate::ops::ThreadProgram;
 use crate::oracle::{self, CrashReport, OracleError};
 use asap_pm_mem::{NvmImage, PmSpace};
-use asap_sim_core::{
-    Cycle, Flavor, ModelKind, QueueKind, Sampler, SimConfig, Stats, TraceRecord, Tracer,
-};
+use asap_sim_core::{Cycle, Flavor, ModelKind, Sampler, SimConfig, Stats, TraceRecord, Tracer};
 use engine::{Engine, Event};
 use model::{ModelDispatch, PersistencyModel};
 use std::io::Write;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Process-wide default [`QueueKind`] for sims that do not pick one
-/// explicitly ([`SimBuilder::queue_kind`]). Binaries set this once from
-/// `--queue` / `ASAP_QUEUE` before building sims; the initial value is
-/// [`QueueKind::Sharded`].
-static DEFAULT_QUEUE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default event-queue implementation.
-pub fn set_default_queue_kind(kind: QueueKind) {
-    let v = match kind {
-        QueueKind::Sharded => 0,
-        QueueKind::Heap => 1,
-    };
-    DEFAULT_QUEUE.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default event-queue implementation.
-pub fn default_queue_kind() -> QueueKind {
-    match DEFAULT_QUEUE.load(Ordering::Relaxed) {
-        1 => QueueKind::Heap,
-        _ => QueueKind::Sharded,
-    }
-}
 
 /// Summary of a completed (or truncated) run.
 #[derive(Debug, Clone)]
@@ -117,7 +91,6 @@ pub struct SimBuilder {
     journal: bool,
     tracer: Option<Box<dyn Tracer>>,
     sample: Option<(Cycle, Box<dyn Write + Send>)>,
-    queue: Option<QueueKind>,
     collect: bool,
 }
 
@@ -133,18 +106,8 @@ impl SimBuilder {
             journal: false,
             tracer: None,
             sample: None,
-            queue: None,
             collect: false,
         }
-    }
-
-    /// Select the event-queue implementation (default: the process-wide
-    /// default, see [`set_default_queue_kind`]). Dispatch order — and
-    /// therefore every simulated result — is identical either way; this
-    /// is the `--queue=sharded|heap` bisection hatch.
-    pub fn queue_kind(mut self, kind: QueueKind) -> SimBuilder {
-        self.queue = Some(kind);
-        self
     }
 
     /// Add one thread program (one core).
@@ -220,7 +183,6 @@ impl SimBuilder {
             self.journal,
             model.uses_pb(),
             model.wants_background_flush(),
-            self.queue.unwrap_or_else(default_queue_kind),
         );
         if let Some(tracer) = self.tracer {
             engine.tracer = tracer;
@@ -287,6 +249,12 @@ impl Sim {
     /// Statistics so far.
     pub fn stats(&self) -> &Stats {
         &self.engine.stats
+    }
+
+    /// Events dispatched so far: the engine's unit of host work, so
+    /// events per host second is the event loop's throughput.
+    pub fn events_processed(&self) -> u64 {
+        self.engine.events_processed
     }
 
     /// Take ownership of the statistics block, leaving a zeroed one
@@ -555,6 +523,7 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
+    use super::collect::FNV_OFFSET;
     use super::model::build_model;
     use super::*;
     use crate::ops::{BurstCtx, BurstStatus, ThreadProgram};
@@ -613,7 +582,6 @@ mod tests {
             false,
             model.uses_pb(),
             model.wants_background_flush(),
-            default_queue_kind(),
         );
         engine.run_until(model.as_mut(), None);
         (engine.now, format!("{:?}", engine.stats))
@@ -648,30 +616,38 @@ mod tests {
         }
     }
 
-    /// Both queue implementations must produce identical simulations —
-    /// the `--queue` flag is a bisection hatch, not a behaviour knob.
     #[test]
-    fn queue_parity_sharded_vs_heap() {
-        for kind in [ModelKind::Baseline, ModelKind::Hops, ModelKind::Asap] {
-            let run = |qk: QueueKind| {
-                let mut sim = SimBuilder::new(SimConfig::paper(), kind, Flavor::Release)
-                    .programs(programs())
-                    .queue_kind(qk)
-                    .build();
-                sim.run_to_completion();
-                (sim.now(), format!("{:?}", sim.stats()))
-            };
-            assert_eq!(run(QueueKind::Sharded), run(QueueKind::Heap), "{kind}");
-        }
+    fn events_processed_counts_dispatched_events() {
+        let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
+            .programs(programs())
+            .build();
+        assert_eq!(sim.events_processed(), 0);
+        sim.run_for(Cycle(100));
+        let partial = sim.events_processed();
+        assert!(partial > 0);
+        sim.run_to_completion();
+        // At least one core step per completed op, plus the rest.
+        assert!(sim.events_processed() > partial.max(sim.stats().ops_completed));
     }
 
-    /// `Event::Sample` reschedules itself through the queue (always on
-    /// shard 0) interleaved with same-cycle core and MC events on other
-    /// shards; with a sampler attached, the emitted CSV row stream and
-    /// the simulated outcome must be identical on both queue
-    /// implementations.
+    /// FNV-1a over the UTF-8 bytes of `text`.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(FNV_OFFSET, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins of two runs whose event streams stress the queue hardest,
+    /// recorded on the four-ary heap queue the timing wheel replaced:
+    /// the digests must not move under any event-queue change.
+    const SAMPLER_RUN_DIGEST: u64 = 0x298c_c8d1_7e6d_35eb;
+    const CRASH_RUN_DIGEST: u64 = 0xc01f_5e4e_4fca_34f4;
+
+    /// `Event::Sample` reschedules itself through the queue, interleaved
+    /// with same-cycle core and MC events; the emitted CSV row stream and
+    /// the simulated outcome must match the pinned run byte for byte.
     #[test]
-    fn sampler_rescheduling_is_queue_invariant() {
+    fn sampler_rescheduling_matches_pinned_run() {
         use std::sync::{Arc, Mutex};
         #[derive(Clone)]
         struct Sink(Arc<Mutex<Vec<u8>>>);
@@ -684,48 +660,29 @@ mod tests {
                 Ok(())
             }
         }
-        let run = |qk: QueueKind| {
-            let sink = Sink(Arc::new(Mutex::new(Vec::new())));
-            let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
-                .programs(programs())
-                .queue_kind(qk)
-                .sample(Cycle(64), Box::new(sink.clone()))
-                .build();
-            sim.run_to_completion();
-            let csv = String::from_utf8(sink.0.lock().unwrap().clone()).expect("utf8 csv");
-            (sim.now(), csv, format!("{:?}", sim.stats()))
-        };
-        let sharded = run(QueueKind::Sharded);
-        let heap = run(QueueKind::Heap);
-        assert!(
-            sharded.1.lines().count() > 2,
-            "sampler produced no rows:\n{}",
-            sharded.1
-        );
-        assert_eq!(sharded, heap);
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
+            .programs(programs())
+            .sample(Cycle(64), Box::new(sink.clone()))
+            .build();
+        sim.run_to_completion();
+        let csv = String::from_utf8(sink.0.lock().unwrap().clone()).expect("utf8 csv");
+        assert!(csv.lines().count() > 2, "sampler produced no rows:\n{csv}");
+        let text = format!("{}\n{csv}{:?}", sim.now(), sim.stats());
+        assert_eq!(fnv(&text), SAMPLER_RUN_DIGEST, "{text}");
     }
 
-    /// A mid-run crash freezes the machine with events still pending on
-    /// every shard; the crash/recovery path (WPQ drain, recovery-table
-    /// undo, oracle check) must report identically however those events
-    /// were sharded.
+    /// A mid-run crash freezes the machine with events pending; the
+    /// crash/recovery path (WPQ drain, recovery-table undo, oracle check)
+    /// must report exactly what the pinned run reported.
     #[test]
-    fn crash_recovery_is_queue_invariant() {
-        let run = |qk: QueueKind| {
-            let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
-                .programs(programs())
-                .with_journal()
-                .queue_kind(qk)
-                .build();
-            let report = sim.crash_at(Cycle(400)).expect("journal enabled");
-            (
-                format!("{report:?}"),
-                sim.now(),
-                format!("{:?}", sim.stats()),
-            )
-        };
-        let sharded = run(QueueKind::Sharded);
-        let heap = run(QueueKind::Heap);
-        assert_eq!(sharded, heap);
+    fn crash_recovery_matches_pinned_run() {
+        let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
+            .programs(programs())
+            .with_journal()
+            .build();
+        let report = sim.crash_at(Cycle(400)).expect("journal enabled");
+        let text = format!("{report:?}\n{}\n{:?}", sim.now(), sim.stats());
+        assert_eq!(fnv(&text), CRASH_RUN_DIGEST, "{text}");
     }
 }

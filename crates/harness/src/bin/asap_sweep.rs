@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] [--requests N]
-//!            [--gap CYCLES] [--workers N] [--queue sharded|heap]
-//!            [--procs N] [--chunk N] [--cache-dir DIR] [--resume]
-//!            [--shard i/n] [--progress] [--csv] [--cache-stats PATH]
+//!            [--gap CYCLES] [--workers N] [--procs N] [--chunk N]
+//!            [--cache-dir DIR] [--resume] [--shard i/n] [--progress]
+//!            [--csv] [--cache-stats PATH]
 //! ```
 //!
 //! Runs the named sweep through the executor layer
@@ -33,8 +33,8 @@ use asap_harness::traffic::{table_from_runs, TrafficScale};
 fn usage() -> ! {
     println!(
         "usage: asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] \
-         [--requests N] [--gap CYCLES] [--workers N] [--queue sharded|heap] \
-         [--procs N] [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n] \
+         [--requests N] [--gap CYCLES] [--workers N] [--procs N] \
+         [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n] \
          [--progress] [--csv] [--cache-stats PATH]"
     );
     std::process::exit(0);

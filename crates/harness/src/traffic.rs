@@ -369,8 +369,6 @@ pub fn table_from_runs(specs: &[TrafficSpec], outs: &[TrafficOutcome]) -> Table 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asap_core::set_default_queue_kind;
-    use asap_sim_core::QueueKind;
 
     fn tiny_scale() -> TrafficScale {
         TrafficScale {
@@ -423,21 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_identical_across_worker_counts_and_queues() {
+    fn tables_are_identical_across_worker_counts() {
         let scale = tiny_scale();
         let mut tables = Vec::new();
-        for queue in [QueueKind::Sharded, QueueKind::Heap] {
-            set_default_queue_kind(queue);
-            for workers in [1, 4] {
-                pool::set_worker_override(workers);
-                tables.push(traffic_table(&scale).to_markdown());
-            }
+        for workers in [1, 4] {
+            pool::set_worker_override(workers);
+            tables.push(traffic_table(&scale).to_markdown());
         }
         pool::set_worker_override(0);
-        set_default_queue_kind(QueueKind::Sharded);
-        assert!(
-            tables.windows(2).all(|w| w[0] == w[1]),
-            "traffic tables must be byte-identical across workers and queue kinds"
+        assert_eq!(
+            tables[0], tables[1],
+            "traffic tables must be byte-identical across worker counts"
         );
     }
 

@@ -75,6 +75,17 @@ fn valid_tiny_run_succeeds_and_prints_manifest() {
     assert!(stdout.contains("run complete"), "{stdout}");
     let err = stderr_of(&out);
     assert!(err.contains("# manifest {"), "manifest line missing: {err}");
+    let events = err
+        .lines()
+        .find_map(|l| l.strip_prefix("# events "))
+        .unwrap_or_else(|| panic!("events line missing: {err}"));
+    let (count, rate) = events.split_once(' ').expect("count and rate");
+    assert!(count.parse::<u64>().unwrap() > 0, "{events}");
+    assert!(rate.ends_with("M events/s)"), "{events}");
+    assert!(
+        err.find("# events ").unwrap() < err.find("# manifest").unwrap(),
+        "events line must precede the manifest: {err}"
+    );
     assert!(err.contains("\"workload\":\"queue\""), "{err}");
     assert!(err.contains("\"seed\":3"), "{err}");
     assert!(err.contains("\"config_digest\":\""), "{err}");

@@ -38,7 +38,6 @@ fn sweep_args(cache_dir: Option<&Path>) -> SweepArgs {
         full: false,
         seed: None,
         workers: None,
-        queue: None,
         progress: false,
         procs: 1,
         chunk: 4,

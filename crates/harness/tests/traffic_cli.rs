@@ -63,7 +63,6 @@ fn unknown_app_model_arrival_exit_two() {
         ("--app", "vacation"),
         ("--model", "nope"),
         ("--arrival", "calendar"),
-        ("--queue", "calendar"),
     ] {
         let out = traffic_sim(&[flag, bad]);
         assert_eq!(

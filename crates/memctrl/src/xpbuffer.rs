@@ -8,10 +8,13 @@
 //! instead of a full 175 ns media read.
 //!
 //! Lines are identified by the controller's dense interned [`LineIdx`],
-//! so the LRU scan compares 4-byte keys.
+//! so the LRU is an intrusive doubly-linked list over flat arrays indexed
+//! by that index: a touch is O(1) whatever the capacity.
 
 use asap_sim_core::LineIdx;
-use std::collections::VecDeque;
+
+/// End-of-list sentinel for the LRU links.
+const NIL: u32 = u32::MAX;
 
 /// LRU line cache in front of the NVM media.
 ///
@@ -28,17 +31,31 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct XpBuffer {
-    lru: VecDeque<LineIdx>,
+    /// Per-line links toward the LRU end (`prev`) and the MRU end
+    /// (`next`); meaningful only while `present[line]`.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    present: Vec<bool>,
+    /// Least- and most-recently-used cached lines.
+    head: u32,
+    tail: u32,
+    len: usize,
     capacity: usize,
     hits: u64,
     misses: u64,
 }
 
 impl XpBuffer {
-    /// Create a buffer tracking up to `capacity` lines.
+    /// Create a buffer tracking up to `capacity` lines (zero: every
+    /// access misses).
     pub fn new(capacity: usize) -> XpBuffer {
         XpBuffer {
-            lru: VecDeque::with_capacity(capacity),
+            prev: Vec::new(),
+            next: Vec::new(),
+            present: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
             capacity,
             hits: 0,
             misses: 0,
@@ -48,19 +65,61 @@ impl XpBuffer {
     /// Access `line`: returns `true` on a hit. Either way the line becomes
     /// most-recently-used (misses allocate).
     pub fn touch(&mut self, line: LineIdx) -> bool {
-        if let Some(pos) = self.lru.iter().position(|&l| l == line) {
-            self.lru.remove(pos);
-            self.lru.push_back(line);
-            self.hits += 1;
-            true
-        } else {
-            if self.lru.len() >= self.capacity {
-                self.lru.pop_front();
-            }
-            self.lru.push_back(line);
-            self.misses += 1;
-            false
+        let i = line.0 as usize;
+        if i >= self.present.len() {
+            self.prev.resize(i + 1, NIL);
+            self.next.resize(i + 1, NIL);
+            self.present.resize(i + 1, false);
         }
+        if self.present[i] {
+            self.hits += 1;
+            if self.tail != line.0 {
+                self.unlink(line.0);
+                self.push_mru(line.0);
+            }
+            return true;
+        }
+        self.misses += 1;
+        if self.capacity == 0 {
+            return false;
+        }
+        if self.len == self.capacity {
+            let lru = self.head;
+            self.unlink(lru);
+            self.present[lru as usize] = false;
+            self.len -= 1;
+        }
+        self.present[i] = true;
+        self.len += 1;
+        self.push_mru(line.0);
+        false
+    }
+
+    /// Detach cached line `l` from the recency list.
+    fn unlink(&mut self, l: u32) {
+        let (p, n) = (self.prev[l as usize], self.next[l as usize]);
+        if p == NIL {
+            self.head = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n == NIL {
+            self.tail = p;
+        } else {
+            self.prev[n as usize] = p;
+        }
+    }
+
+    /// Append `l` at the most-recently-used end.
+    fn push_mru(&mut self, l: u32) {
+        self.prev[l as usize] = self.tail;
+        self.next[l as usize] = NIL;
+        if self.tail == NIL {
+            self.head = l;
+        } else {
+            self.next[self.tail as usize] = l;
+        }
+        self.tail = l;
     }
 
     /// Hits so far.
@@ -110,5 +169,24 @@ mod tests {
         xp.touch(la(2)); // evicts la(1)
         assert!(xp.touch(la(0)));
         assert!(!xp.touch(la(1)));
+    }
+
+    #[test]
+    fn zero_capacity_always_misses() {
+        let mut xp = XpBuffer::new(0);
+        for _ in 0..3 {
+            assert!(!xp.touch(la(5)));
+        }
+        assert_eq!(xp.hits(), 0);
+        assert_eq!(xp.misses(), 3);
+    }
+
+    #[test]
+    fn single_line_buffer_keeps_only_the_last_line() {
+        let mut xp = XpBuffer::new(1);
+        assert!(!xp.touch(la(3)));
+        assert!(xp.touch(la(3)));
+        assert!(!xp.touch(la(9)));
+        assert!(!xp.touch(la(3)));
     }
 }

@@ -1,22 +1,53 @@
-//! Deterministic timed event queue.
+//! Deterministic timed event queue: a timing wheel with an overflow heap.
 //!
 //! The queue is the single hottest structure of the simulator: every
 //! flush/ack round trip, commit message and core step passes through it,
 //! and sweep runs (Figures 2–13) execute tens of millions of
-//! push/pop pairs. Two hot-path choices follow from that:
+//! push/pop pairs. Almost every event lands a few to a few hundred
+//! cycles ahead of the current time, which a timing wheel serves in
+//! O(1) per operation:
 //!
-//! * **Packed sort key.** `(Cycle, seq)` is packed into one `u128`
-//!   (`time` in the high 64 bits, insertion sequence in the low 64), so
-//!   every heap comparison is a single integer compare instead of a
-//!   two-field lexicographic one. Sequence numbers make keys unique,
-//!   which also keeps same-cycle events in FIFO order — the property
-//!   that makes whole-simulation runs bit-for-bit reproducible.
-//! * **Four-ary implicit heap.** A 4-ary heap is ~half as deep as a
-//!   binary heap, trading a couple of extra sibling compares per level
-//!   (cheap, cache-resident) for fewer cache-missing levels on the
-//!   sift-down path that `pop` always pays.
+//! * **Wheel.** [`WHEEL_SLOTS`] one-cycle buckets cover the *horizon*
+//!   `[base, base + WHEEL_SLOTS)`, where the cursor `base` is the time of
+//!   the last pop (a lower bound on every pending time). Each bucket is
+//!   an intrusive FIFO list threaded through a slab of nodes (`u32`
+//!   links, a free list, pre-sized by [`EventQueue::with_capacity`]), so
+//!   a push appends at the bucket's tail and a pop takes its head. A
+//!   64-word occupancy bitmap lets `pop` skip empty cycles a word at a
+//!   time with `trailing_zeros`.
+//! * **Overflow heap.** Events at `t >= base + WHEEL_SLOTS` wait in a
+//!   four-ary implicit min-heap keyed by `(cycle, seq)` packed into one
+//!   `u128` (time high, insertion sequence low), so every comparison is
+//!   one integer compare and same-cycle keys order by insertion. The
+//!   invariant is that the heap holds *only* times beyond the horizon:
+//!   whenever `base` advances, every overflow event that the horizon now
+//!   covers migrates into its bucket, in key order, before the pop
+//!   returns.
+//! * **Exact FIFO.** Same-cycle events must pop in push order — the
+//!   property that makes whole-simulation runs bit-for-bit reproducible.
+//!   Within a bucket that is list order. Across the two stores it holds
+//!   because all events of one cycle live in the same store: a cycle is
+//!   either beyond the horizon (every push to it went to the heap) or
+//!   inside it (every push went to the bucket), and the moment the
+//!   horizon reaches a cycle its heap events move to the still-empty
+//!   bucket in key order, ahead of any later direct push.
+//! * **Late pushes.** A push before `base` never happens in the
+//!   simulator (the engine clamps schedules to the current time) but the
+//!   type allows it. It takes a rare slow path: the wheel spills into the
+//!   heap in bucket order, `base` rewinds to the late time, and the
+//!   horizon migrates back.
 
 use crate::time::Cycle;
+
+/// Number of one-cycle buckets in the wheel: the horizon, in cycles,
+/// within which a push costs O(1).
+pub const WHEEL_SLOTS: usize = 4096;
+
+const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
+const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+
+/// End-of-list / empty-free-list sentinel for slab links.
+const NIL: u32 = u32::MAX;
 
 /// Heap arity: each node has up to four children at `4i+1 ..= 4i+4`.
 const ARITY: usize = 4;
@@ -89,38 +120,11 @@ fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
     Some(out)
 }
 
-/// Which event-queue implementation the engine runs on — the escape
-/// hatch for bisecting queue regressions without rebuilding
-/// (`--queue=sharded|heap` / `ASAP_QUEUE`). Both produce bit-identical
-/// dispatch order; they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Per-component shards with a min-of-shards merge (the default).
-    #[default]
-    Sharded,
-    /// The single global 4-ary heap.
-    Heap,
-}
-
-impl std::str::FromStr for QueueKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<QueueKind, String> {
-        match s {
-            "sharded" => Ok(QueueKind::Sharded),
-            "heap" => Ok(QueueKind::Heap),
-            other => Err(format!("unknown queue kind '{other}' (sharded|heap)")),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueKind::Sharded => "sharded",
-            QueueKind::Heap => "heap",
-        })
-    }
+/// One slab node: a pending event (`None` while on the free list) and
+/// the link to the next node of its bucket list or of the free list.
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
 }
 
 /// A priority queue of `(Cycle, E)` pairs with deterministic FIFO ordering
@@ -140,227 +144,244 @@ impl std::fmt::Display for QueueKind {
 /// assert_eq!(q.pop(), Some((Cycle(7), 'c')));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Default)]
 pub struct EventQueue<E> {
-    /// Implicit min-heap ordered by the packed `(time, seq)` key.
-    heap: Vec<(u128, E)>,
+    /// Slab of bucket-list nodes; freed nodes chain from `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Per-bucket list ends, meaningful only while the bucket's
+    /// `occupied` bit is set.
+    heads: Box<[u32]>,
+    tails: Box<[u32]>,
+    occupied: [u64; BITMAP_WORDS],
+    /// Events currently in the wheel.
+    wheel_len: usize,
+    /// Lower bound on every pending time: the time of the last pop (or
+    /// of the last late push). The wheel covers `[base, base + WHEEL_SLOTS)`.
+    base: u64,
+    /// Events beyond the horizon, as a min-heap on the packed key.
+    overflow: Vec<(u128, E)>,
     next_seq: u64,
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> EventQueue<E> {
+        EventQueue::new()
+    }
 }
 
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue {
-            heap: Vec::new(),
-            next_seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// Create an empty queue with room for `cap` pending events, so the
     /// steady-state event population never re-grows the backing store.
     pub fn with_capacity(cap: usize) -> EventQueue<E> {
         EventQueue {
-            heap: Vec::with_capacity(cap),
+            nodes: Vec::with_capacity(cap),
+            free: NIL,
+            heads: vec![0; WHEEL_SLOTS].into_boxed_slice(),
+            tails: vec![0; WHEEL_SLOTS].into_boxed_slice(),
+            occupied: [0; BITMAP_WORDS],
+            wheel_len: 0,
+            base: 0,
+            overflow: Vec::new(),
             next_seq: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        heap_push(&mut self.heap, pack(at, seq), event);
+        let t = at.raw();
+        if t < self.base {
+            self.rewind(t);
+        }
+        if t - self.base < WHEEL_SLOTS as u64 {
+            self.wheel_push(t, event);
+        } else {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            heap_push(&mut self.overflow, pack(at, seq), event);
+        }
     }
 
     /// Remove and return the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        heap_pop(&mut self.heap).map(|(key, event)| (unpack_time(key), event))
+        if self.wheel_len == 0 {
+            // Everything pending is beyond the horizon: the heap's root
+            // is the global minimum.
+            let (key, event) = heap_pop(&mut self.overflow)?;
+            self.base = unpack_time(key).raw();
+            self.migrate();
+            return Some((Cycle(self.base), event));
+        }
+        let slot = self.first_occupied();
+        let node = self.heads[slot];
+        if node == self.tails[slot] {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        } else {
+            self.heads[slot] = self.nodes[node as usize].next;
+        }
+        let n = &mut self.nodes[node as usize];
+        let event = n.event.take().expect("linked node holds an event");
+        n.next = self.free;
+        self.free = node;
+        self.wheel_len -= 1;
+        let t = self.slot_time(slot);
+        if t != self.base {
+            self.base = t;
+            self.migrate();
+        }
+        Some((Cycle(t), event))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.first().map(|&(key, _)| unpack_time(key))
+        if self.wheel_len == 0 {
+            return self.overflow.first().map(|&(key, _)| unpack_time(key));
+        }
+        Some(Cycle(self.slot_time(self.first_occupied())))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel_len + self.overflow.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Drop all pending events, keeping the allocation (and the sequence
+    /// Drop all pending events, keeping the allocations (and the sequence
     /// counter, so FIFO ordering stays globally consistent) for reuse.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.nodes.clear();
+        self.free = NIL;
+        self.occupied = [0; BITMAP_WORDS];
+        self.wheel_len = 0;
+        self.base = 0;
+        self.overflow.clear();
     }
 
-    /// Allocated capacity of the backing store.
+    /// Allocated capacity of the backing stores (node slab plus overflow
+    /// heap), in events.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.nodes.capacity() + self.overflow.capacity()
+    }
+
+    /// Append `event` to the tail of the bucket for time `t`, which must
+    /// lie within the horizon.
+    #[inline]
+    fn wheel_push(&mut self, t: u64, event: E) {
+        let node = if self.free == NIL {
+            let i = self.nodes.len();
+            assert!(i < NIL as usize, "event queue slab exhausted");
+            self.nodes.push(Node {
+                event: Some(event),
+                next: NIL,
+            });
+            i as u32
+        } else {
+            let i = self.free;
+            let n = &mut self.nodes[i as usize];
+            self.free = n.next;
+            n.event = Some(event);
+            n.next = NIL;
+            i
+        };
+        let slot = (t & SLOT_MASK) as usize;
+        let bit = 1 << (slot % 64);
+        if self.occupied[slot / 64] & bit != 0 {
+            let tail = self.tails[slot];
+            self.nodes[tail as usize].next = node;
+        } else {
+            self.occupied[slot / 64] |= bit;
+            self.heads[slot] = node;
+        }
+        self.tails[slot] = node;
+        self.wheel_len += 1;
+    }
+
+    /// The first occupied bucket at or after `base`'s, in circular order.
+    /// The wheel must be non-empty.
+    #[inline]
+    fn first_occupied(&self) -> usize {
+        let start = (self.base & SLOT_MASK) as usize;
+        let mut w = start / 64;
+        let bits = self.occupied[w] & (!0u64 << (start % 64));
+        if bits != 0 {
+            return w * 64 + bits.trailing_zeros() as usize;
+        }
+        // The last iteration revisits the start word whole, which finds
+        // the buckets below `start` (times past the wrap point).
+        for _ in 0..BITMAP_WORDS {
+            w = (w + 1) % BITMAP_WORDS;
+            if self.occupied[w] != 0 {
+                return w * 64 + self.occupied[w].trailing_zeros() as usize;
+            }
+        }
+        unreachable!("first_occupied on an empty wheel")
+    }
+
+    /// The time bucket `slot` holds: the one horizon cycle that maps to it.
+    #[inline]
+    fn slot_time(&self, slot: usize) -> u64 {
+        self.base + ((slot as u64).wrapping_sub(self.base) & SLOT_MASK)
+    }
+
+    /// Move every overflow event the horizon now covers into its bucket,
+    /// in key order, restoring the overflow invariant after `base` moved.
+    #[inline]
+    fn migrate(&mut self) {
+        let horizon = self.base.saturating_add(WHEEL_SLOTS as u64);
+        while let Some(&(key, _)) = self.overflow.first() {
+            let t = unpack_time(key).raw();
+            if t >= horizon {
+                break;
+            }
+            let (_, event) = heap_pop(&mut self.overflow).expect("non-empty");
+            self.wheel_push(t, event);
+        }
+    }
+
+    /// Slow path for a push at `t < base`: spill the wheel into the
+    /// overflow heap (bucket order, fresh increasing sequence numbers, so
+    /// each cycle's FIFO order survives), move `base` back to `t`, and
+    /// migrate the new horizon back into the wheel.
+    #[cold]
+    fn rewind(&mut self, t: u64) {
+        while self.wheel_len > 0 {
+            let slot = self.first_occupied();
+            let at = self.slot_time(slot);
+            let mut node = self.heads[slot];
+            loop {
+                let n = &mut self.nodes[node as usize];
+                let event = n.event.take().expect("linked node holds an event");
+                let next = n.next;
+                n.next = self.free;
+                self.free = node;
+                self.wheel_len -= 1;
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                heap_push(&mut self.overflow, pack(Cycle(at), seq), event);
+                if node == self.tails[slot] {
+                    break;
+                }
+                node = next;
+            }
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+        self.base = t;
+        self.migrate();
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
-            .field("next_time", &self.peek_time())
-            .finish()
-    }
-}
-
-/// A sharded timed event queue: one small 4-ary heap per shard plus a
-/// min-of-shards merge on `pop`/`peek_time`.
-///
-/// The sequence counter is **global across shards**, so every pending
-/// event carries a globally unique packed `(time, seq)` key and the
-/// min-of-shards merge reproduces the exact total order of a single
-/// [`EventQueue`] — regardless of shard count or how pushes are routed.
-/// What sharding buys is locality: each component's events sift through
-/// a heap a fraction of the global population's size, and the merge
-/// front (one head per shard) stays cache-resident.
-///
-/// # Example
-///
-/// ```
-/// use asap_sim_core::{Cycle, ShardedEventQueue};
-///
-/// let mut q = ShardedEventQueue::new(3);
-/// q.push(2, Cycle(7), 'b');
-/// q.push(0, Cycle(3), 'a');
-/// q.push(1, Cycle(7), 'c'); // same cycle as 'b', pushed later
-/// assert_eq!(q.pop(), Some((Cycle(3), 'a')));
-/// assert_eq!(q.pop(), Some((Cycle(7), 'b')));
-/// assert_eq!(q.pop(), Some((Cycle(7), 'c')));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct ShardedEventQueue<E> {
-    shards: Vec<Vec<(u128, E)>>,
-    /// `heads[s]` mirrors the root key of `shards[s]` (`u128::MAX` when
-    /// the shard is empty): the merge front as one contiguous array.
-    /// `pop`/`peek_time` scan ≤ a cache line of keys instead of chasing
-    /// every shard heap's root pointer — the difference between the
-    /// merge being free and it dominating the pop cost.
-    heads: Vec<u128>,
-    next_seq: u64,
-    len: usize,
-}
-
-/// Head sentinel for an empty shard — above any packable key.
-const NO_HEAD: u128 = u128::MAX;
-
-impl<E> ShardedEventQueue<E> {
-    /// Create a queue with `num_shards` empty shards (at least one).
-    pub fn new(num_shards: usize) -> ShardedEventQueue<E> {
-        ShardedEventQueue::with_capacity(num_shards, 0)
-    }
-
-    /// Create a queue with `num_shards` shards pre-sized to `cap` total
-    /// pending events (split evenly), so the steady-state population
-    /// never re-grows a backing store.
-    pub fn with_capacity(num_shards: usize, cap: usize) -> ShardedEventQueue<E> {
-        let n = num_shards.max(1);
-        let per = cap.div_ceil(n);
-        ShardedEventQueue {
-            shards: (0..n).map(|_| Vec::with_capacity(per)).collect(),
-            heads: vec![NO_HEAD; n],
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `event` to fire at absolute time `at` on `shard`
-    /// (indices wrap, so any deterministic routing is valid; in-range
-    /// shards — the steady state — skip the wrap division entirely).
-    pub fn push(&mut self, shard: usize, at: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = if shard < self.shards.len() {
-            shard
-        } else {
-            shard % self.shards.len()
-        };
-        let key = pack(at, seq);
-        heap_push(&mut self.shards[s], key, event);
-        if key < self.heads[s] {
-            self.heads[s] = key;
-        }
-        self.len += 1;
-    }
-
-    /// The shard whose head carries the globally smallest key, if any.
-    /// Keys are globally unique (one seq counter), so the minimum is
-    /// unambiguous.
-    #[inline]
-    fn min_shard(&self) -> Option<usize> {
-        let mut s = 0;
-        let mut best = self.heads[0];
-        for (i, &k) in self.heads.iter().enumerate().skip(1) {
-            if k < best {
-                best = k;
-                s = i;
-            }
-        }
-        (best != NO_HEAD).then_some(s)
-    }
-
-    /// Remove and return the earliest event across all shards, or
-    /// `None` if empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let s = self.min_shard()?;
-        let (key, event) = heap_pop(&mut self.shards[s]).expect("head seen");
-        self.heads[s] = self.shards[s].first().map_or(NO_HEAD, |&(k, _)| k);
-        self.len -= 1;
-        Some((unpack_time(key), event))
-    }
-
-    /// Time of the earliest pending event across all shards, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        let &key = self.heads.iter().min().expect("at least one shard");
-        (key != NO_HEAD).then(|| unpack_time(key))
-    }
-
-    /// Total number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop all pending events, keeping every shard's allocation (and
-    /// the global sequence counter, so FIFO ordering stays well-defined
-    /// across the clear).
-    pub fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.clear();
-        }
-        self.heads.fill(NO_HEAD);
-        self.len = 0;
-    }
-
-    /// Total allocated capacity across shards.
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.capacity()).sum()
-    }
-}
-
-impl<E> std::fmt::Debug for ShardedEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEventQueue")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .field("next_time", &self.peek_time())
             .finish()
     }
@@ -483,111 +504,92 @@ mod tests {
         assert!(!format!("{:?}", q).is_empty());
     }
 
+    /// Pops every event and returns them in order.
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Cycle, E)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
-    fn sharded_orders_across_shards() {
-        let mut q = ShardedEventQueue::new(4);
-        q.push(3, Cycle(30), 3);
-        q.push(0, Cycle(10), 1);
-        q.push(2, Cycle(20), 2);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Cycle(10)));
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
+    fn horizon_boundary_routes_and_migrates_in_fifo_order() {
+        let last_in = WHEEL_SLOTS as u64 - 1;
+        let first_out = WHEEL_SLOTS as u64;
+        let mut q = EventQueue::new();
+        // Beyond the horizon: waits in the overflow heap.
+        q.push(Cycle(first_out), "o1");
+        q.push(Cycle(last_in), "w1");
+        q.push(Cycle(first_out), "o2");
+        q.push(Cycle(first_out + 10_000), "far");
+        assert_eq!(q.overflow.len(), 3);
+        assert_eq!(q.wheel_len, 1);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(Cycle(last_in)));
+        // Popping `last_in` advances the horizon past `first_out`: both
+        // of its overflow events migrate, in push order, and a later
+        // direct push to the same cycle queues behind them.
+        assert_eq!(q.pop(), Some((Cycle(last_in), "w1")));
+        assert_eq!(q.overflow.len(), 1);
+        q.push(Cycle(first_out), "d1");
+        assert_eq!(q.pop(), Some((Cycle(first_out), "o1")));
+        assert_eq!(q.pop(), Some((Cycle(first_out), "o2")));
+        assert_eq!(q.pop(), Some((Cycle(first_out), "d1")));
+        // Only the far event is left: peeking reads the heap root
+        // without moving the cursor, and popping jumps straight to it.
+        assert_eq!(q.peek_time(), Some(Cycle(first_out + 10_000)));
+        assert_eq!(q.base, first_out);
+        assert_eq!(q.pop(), Some((Cycle(first_out + 10_000), "far")));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn sharded_fifo_within_same_cycle_across_shards() {
-        // Same-cycle events landing on *different* shards must still pop
-        // in push order: the global seq counter makes keys unique.
-        let mut q = ShardedEventQueue::new(8);
-        for i in 0..100usize {
-            q.push(i % 8, Cycle(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
+    fn wheel_wraps_around_the_bucket_array() {
+        let mut q = EventQueue::new();
+        q.push(Cycle(4000), 0);
+        assert_eq!(q.pop(), Some((Cycle(4000), 0)));
+        // 4000 + 200 lands in bucket 104, below the cursor's bucket.
+        q.push(Cycle(4200), 2);
+        q.push(Cycle(4050), 1);
+        q.push(Cycle(4000 + WHEEL_SLOTS as u64 - 1), 3);
+        assert_eq!(q.peek_time(), Some(Cycle(4050)));
+        let order: Vec<u64> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, [1, 2, 3]);
     }
 
     #[test]
-    fn sharded_clear_keeps_capacity_and_seq() {
-        let mut q = ShardedEventQueue::with_capacity(4, 64);
-        let cap = q.capacity();
-        assert!(cap >= 64);
-        q.push(0, Cycle(3), 'x');
-        q.push(1, Cycle(1), 'y');
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), cap);
-        q.push(2, Cycle(5), 'a');
-        q.push(3, Cycle(5), 'b');
-        assert_eq!(q.pop().unwrap().1, 'a');
-        assert_eq!(q.pop().unwrap().1, 'b');
+    fn late_push_rewinds_and_keeps_fifo() {
+        let mut q = EventQueue::new();
+        q.push(Cycle(100), 'a');
+        q.push(Cycle(500), 'b');
+        q.push(Cycle(500), 'c');
+        q.push(Cycle(100 + WHEEL_SLOTS as u64), 'd');
+        assert_eq!(q.pop(), Some((Cycle(100), 'a')));
+        // Before the cursor: the wheel spills and the cursor moves back.
+        q.push(Cycle(7), 'e');
+        assert_eq!(q.base, 7);
+        q.push(Cycle(500), 'f');
+        assert_eq!(q.len(), 5);
+        assert_eq!(
+            drain(&mut q),
+            [
+                (Cycle(7), 'e'),
+                (Cycle(500), 'b'),
+                (Cycle(500), 'c'),
+                (Cycle(500), 'f'),
+                (Cycle(100 + WHEEL_SLOTS as u64), 'd'),
+            ]
+        );
     }
 
     #[test]
-    fn sharded_shard_index_wraps() {
-        let mut q = ShardedEventQueue::new(2);
-        q.push(7, Cycle(1), 'a'); // 7 % 2 == shard 1
-        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
-        let z: ShardedEventQueue<u8> = ShardedEventQueue::new(0);
-        assert_eq!(z.num_shards(), 1, "zero shards clamps to one");
-    }
-
-    /// Property test: any deterministic push/pop interleaving pops in
-    /// the identical (cycle, seq) order on the single 4-ary heap and on
-    /// the sharded queue, for every shard count 1..=8 — the invariant
-    /// that makes the sharded engine byte-identical to the heap engine.
-    #[test]
-    fn sharded_matches_heap_for_all_shard_counts() {
-        for shards in 1..=8usize {
-            let mut heap = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(shards);
-            let mut x = 0xdeadbeefcafef00du64 ^ shards as u64;
-            let mut popped_heap = Vec::new();
-            let mut popped_sharded = Vec::new();
-            for i in 0..2000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let t = x % 53; // dense cycle range: many same-cycle ties
-                heap.push(Cycle(t), i);
-                sharded.push((x >> 32) as usize % shards, Cycle(t), i);
-                if x.is_multiple_of(3) {
-                    popped_heap.push(heap.pop());
-                    popped_sharded.push(sharded.pop());
-                }
+    fn slab_nodes_are_recycled() {
+        let mut q = EventQueue::with_capacity(4);
+        for round in 0..1000u64 {
+            for k in 0..4 {
+                q.push(Cycle(round * 3 + k), k);
             }
-            loop {
-                let (a, b) = (heap.pop(), sharded.pop());
-                popped_heap.push(a);
-                popped_sharded.push(b);
-                if popped_heap.last().unwrap().is_none() {
-                    break;
-                }
+            for _ in 0..4 {
+                q.pop();
             }
-            assert_eq!(
-                popped_heap, popped_sharded,
-                "pop order diverged at {shards} shards"
-            );
         }
-    }
-
-    #[test]
-    fn queue_kind_parses_strictly() {
-        assert_eq!("sharded".parse(), Ok(QueueKind::Sharded));
-        assert_eq!("heap".parse(), Ok(QueueKind::Heap));
-        let err = "calendar".parse::<QueueKind>().unwrap_err();
-        assert!(err.contains("calendar"), "{err}");
-        assert_eq!(QueueKind::default(), QueueKind::Sharded);
-        assert_eq!(QueueKind::Sharded.to_string(), "sharded");
-        assert_eq!(QueueKind::Heap.to_string(), "heap");
-    }
-
-    #[test]
-    fn sharded_debug_is_nonempty() {
-        let q: ShardedEventQueue<u8> = ShardedEventQueue::new(3);
-        assert!(!format!("{:?}", q).is_empty());
+        assert_eq!(q.nodes.len(), 4, "freed nodes must be reused");
     }
 }

@@ -7,7 +7,9 @@
 //! * [`Cycle`] — simulated time in CPU cycles (2 GHz per Table II of the
 //!   paper), with nanosecond conversion helpers.
 //! * [`EventQueue`] — a deterministic priority queue of timed events with
-//!   FIFO tie-breaking, the heart of the event-driven engine.
+//!   FIFO tie-breaking, the heart of the event-driven engine: a timing
+//!   wheel of [`WHEEL_SLOTS`] one-cycle buckets (O(1) push and pop within
+//!   that horizon) backed by an overflow heap for later events.
 //! * [`SimConfig`] — the hardware configuration from Table II, with a
 //!   builder for sensitivity studies.
 //! * [`Stats`] — simulation counters using the exact stat names from
@@ -56,7 +58,7 @@ mod time;
 mod trace;
 
 pub use config::{ConfigError, Flavor, ModelKind, SimConfig, SimConfigBuilder};
-pub use events::{EventQueue, QueueKind, ShardedEventQueue};
+pub use events::{EventQueue, WHEEL_SLOTS};
 pub use hist::{LatencySplit, LogHistogram};
 pub use ids::{EpochId, LineAddr, McId, ThreadId, CACHE_LINE_BYTES, CACHE_LINE_SHIFT};
 pub use intern::{mix64, LineIdx, LineTable};

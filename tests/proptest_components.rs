@@ -1,7 +1,8 @@
 //! Randomized property tests on the core data structures and invariants:
 //! allocator disjointness, recovery-table state machine, Bloom filter,
-//! event-queue ordering, histogram percentiles, the dependency DAG and
-//! the crash oracle against its quadratic reference.
+//! the event queue and the XPBuffer LRU against their reference
+//! implementations, histogram percentiles, the dependency DAG and the
+//! crash oracle against its quadratic reference.
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
 //! case, so every failure is reproducible from the printed case number)
@@ -9,13 +10,13 @@
 //! test suite dependency-free.
 
 use asap::cache::CountingBloom;
-use asap::mc::RecoveryTable;
+use asap::mc::{RecoveryTable, XpBuffer};
 use asap::model::oracle;
 use asap::model::{CrashReport, DepGraph, Violation, ViolationRule};
 use asap::pm::{NvmImage, PmAllocator, PmSpace, WriteJournal, WriteSeq};
 use asap::sim::{
     Cycle, DetRng, EpochId, EventQueue, Histogram, LineAddr, LineIdx, LineTable, LogHistogram,
-    ThreadId,
+    ThreadId, WHEEL_SLOTS,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -220,6 +221,218 @@ fn event_queue_pops_in_time_then_fifo_order() {
             }
             last = Some((t, i));
         }
+    }
+}
+
+/// The event queue as it was before the timing wheel: one four-ary
+/// implicit min-heap over `(cycle, seq)` packed into a `u128`. Kept as
+/// the reference the wheel must match, pop for pop.
+struct RefHeap<E> {
+    heap: Vec<(u128, E)>,
+    next_seq: u64,
+}
+
+impl<E> RefHeap<E> {
+    fn new() -> RefHeap<E> {
+        RefHeap {
+            heap: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: Cycle, event: E) {
+        let key = ((at.raw() as u128) << 64) | self.next_seq as u128;
+        self.next_seq += 1;
+        self.heap.push((key, event));
+        let mut i = self.heap.len() - 1;
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if self.heap[i].0 >= self.heap[parent].0 {
+                break;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, E)> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let last = self.heap.len() - 1;
+        self.heap.swap(0, last);
+        let (key, event) = self.heap.pop().expect("non-empty");
+        let len = self.heap.len();
+        let mut i = 0;
+        loop {
+            let first = 4 * i + 1;
+            if first >= len {
+                break;
+            }
+            let min = (first..(first + 4).min(len))
+                .min_by_key(|&c| self.heap[c].0)
+                .expect("one child");
+            if self.heap[min].0 >= self.heap[i].0 {
+                break;
+            }
+            self.heap.swap(i, min);
+            i = min;
+        }
+        Some((Cycle((key >> 64) as u64), event))
+    }
+
+    fn peek_time(&self) -> Option<Cycle> {
+        self.heap.first().map(|&(key, _)| Cycle((key >> 64) as u64))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
+
+/// The timing wheel and the reference heap agree on every `pop`,
+/// `peek_time` and `len` under random interleavings of push, pop, peek
+/// and clear. Push times target the wheel's corners relative to the
+/// cursor (the last popped time): same-cycle ties, the last in-horizon
+/// cycle (`+4095`), the first overflow cycle (`+4096`), far-future
+/// overflow, re-pushes to earlier overflow cycles once the horizon has
+/// reached them (overflow and direct pushes on one cycle), and late
+/// pushes before the cursor.
+#[test]
+fn event_queue_matches_reference_heap() {
+    let horizon = WHEEL_SLOTS as u64;
+    for case in 0..CASES {
+        let mut rng = case_rng(18, case);
+        let mut wheel = EventQueue::new();
+        let mut reference = RefHeap::new();
+        let mut cursor = 0u64;
+        let mut recent: Vec<u64> = Vec::new();
+        let ops = 200 + rng.index(1800);
+        for id in 0..ops {
+            match rng.below(20) {
+                0..=10 => {
+                    let t = match rng.below(10) {
+                        0 | 1 if !recent.is_empty() => recent[rng.index(recent.len())],
+                        2 => cursor + horizon - 1 - rng.below(2),
+                        3 => cursor + horizon + rng.below(2),
+                        4 => cursor + horizon + rng.below(50 * horizon),
+                        5 if cursor > 0 && rng.chance(0.3) => {
+                            cursor - 1 - rng.below(cursor.min(5000))
+                        }
+                        _ => cursor + rng.below(64),
+                    };
+                    if t < cursor {
+                        cursor = t;
+                    }
+                    if recent.len() < 32 {
+                        recent.push(t);
+                    } else {
+                        recent[rng.index(32)] = t;
+                    }
+                    wheel.push(Cycle(t), id);
+                    reference.push(Cycle(t), id);
+                }
+                11..=17 => {
+                    let got = wheel.pop();
+                    assert_eq!(got, reference.pop(), "case {case}: pop #{id}");
+                    if let Some((t, _)) = got {
+                        cursor = t.raw();
+                    }
+                }
+                18 => {
+                    assert_eq!(
+                        wheel.peek_time(),
+                        reference.peek_time(),
+                        "case {case}: peek #{id}"
+                    );
+                }
+                _ => {
+                    if rng.chance(0.1) {
+                        wheel.clear();
+                        reference.clear();
+                        cursor = 0;
+                    }
+                }
+            }
+            assert_eq!(wheel.len(), reference.len(), "case {case}: len #{id}");
+            assert_eq!(wheel.is_empty(), reference.len() == 0);
+        }
+        loop {
+            assert_eq!(wheel.peek_time(), reference.peek_time(), "case {case}");
+            let got = wheel.pop();
+            assert_eq!(got, reference.pop(), "case {case}: drain");
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+// ---- XPBuffer LRU vs its VecDeque reference ----
+
+/// The XPBuffer as it was before the linked-list LRU: a `VecDeque`
+/// scanned on every touch, front = least recently used.
+struct RefLru {
+    lru: VecDeque<LineIdx>,
+    capacity: usize,
+}
+
+impl RefLru {
+    fn touch(&mut self, line: LineIdx) -> bool {
+        if let Some(pos) = self.lru.iter().position(|&l| l == line) {
+            self.lru.remove(pos);
+            self.lru.push_back(line);
+            true
+        } else {
+            if self.lru.len() >= self.capacity {
+                self.lru.pop_front();
+            }
+            self.lru.push_back(line);
+            false
+        }
+    }
+}
+
+/// Per-touch hit/miss equality with the reference LRU over random line
+/// streams with skewed reuse (a hot set, a warm set larger than most
+/// capacities, and a cold tail), for capacities 1..=300.
+#[test]
+fn xpbuffer_matches_reference_lru() {
+    for case in 0..CASES {
+        let mut rng = case_rng(19, case);
+        let capacity = 1 + rng.index(300);
+        let mut xp = XpBuffer::new(capacity);
+        let mut reference = RefLru {
+            lru: VecDeque::new(),
+            capacity,
+        };
+        let hot = 1 + rng.below(16);
+        let warm = hot + 1 + rng.below(400);
+        let (mut hits, mut misses) = (0, 0);
+        for n in 0..3000 {
+            let line = match rng.below(10) {
+                0..=4 => rng.below(hot),
+                5..=8 => rng.below(warm),
+                _ => rng.below(5000),
+            };
+            let line = LineIdx(line as u32);
+            let hit = xp.touch(line);
+            assert_eq!(
+                hit,
+                reference.touch(line),
+                "case {case}: touch #{n} of {line:?} at capacity {capacity}"
+            );
+            if hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        assert_eq!((xp.hits(), xp.misses()), (hits, misses), "case {case}");
     }
 }
 

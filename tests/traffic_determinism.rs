@@ -1,7 +1,6 @@
 //! Determinism suite for the open-loop traffic frontend: the same seed
 //! must yield byte-identical request banks, trace files, replayed
-//! outcomes and latency tables — regardless of sweep worker count or
-//! event-queue kind.
+//! outcomes and latency tables — regardless of sweep worker count.
 //!
 //! The golden fixture pins a tiny sweep's full latency table. To
 //! regenerate after an intentional change:
@@ -17,8 +16,7 @@ use asap::harness::pool;
 use asap::harness::traffic::{
     run_traffic, run_traffic_bank, traffic_table, TrafficApp, TrafficScale,
 };
-use asap::model::set_default_queue_kind;
-use asap::sim::{Flavor, ModelKind, QueueKind};
+use asap::sim::{Flavor, ModelKind};
 use asap::workloads::traffic::{format_trace, generate, parse_trace, ArrivalKind, TrafficConfig};
 use std::sync::Arc;
 
@@ -70,21 +68,17 @@ fn trace_replay_reproduces_the_generated_outcome() {
 }
 
 #[test]
-fn latency_tables_are_identical_across_workers_and_queues() {
+fn latency_tables_are_identical_across_workers() {
     let scale = pinned_scale();
     let mut tables = Vec::new();
-    for queue in [QueueKind::Sharded, QueueKind::Heap] {
-        set_default_queue_kind(queue);
-        for workers in [1, 3] {
-            pool::set_worker_override(workers);
-            tables.push(traffic_table(&scale).to_markdown());
-        }
+    for workers in [1, 3] {
+        pool::set_worker_override(workers);
+        tables.push(traffic_table(&scale).to_markdown());
     }
     pool::set_worker_override(0);
-    set_default_queue_kind(QueueKind::Sharded);
-    assert!(
-        tables.windows(2).all(|w| w[0] == w[1]),
-        "latency tables must not depend on worker count or queue kind"
+    assert_eq!(
+        tables[0], tables[1],
+        "latency tables must not depend on worker count"
     );
 }
 
