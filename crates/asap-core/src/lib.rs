@@ -39,8 +39,8 @@
 //!   state, event queue, run loop) plus shared *flows* (core execution,
 //!   load/store path, flush pipeline, commit protocol) on one side, and
 //!   one `PersistencyModel` trait implementation per design on the
-//!   other. The engine never branches on [`ModelKind`]; a
-//!   construction-time registry picks the implementation when
+//!   other. The engine never branches on [`ModelKind`]; the
+//!   `ModelDispatch` enum picks the implementation when
 //!   [`SimBuilder::build`] runs, and each design keeps its private
 //!   per-core state (baseline's dirty sets, HOPS' timestamp registers,
 //!   ASAP's conservative-mode flags) inside its own model struct. See

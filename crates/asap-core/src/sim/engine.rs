@@ -281,11 +281,7 @@ impl Engine {
     // Run loop
     // ---------------------------------------------------------------
 
-    pub(super) fn run_until<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        limit: Option<Cycle>,
-    ) {
+    pub(super) fn run_until<M: PersistencyModel>(&mut self, m: &mut M, limit: Option<Cycle>) {
         const EVENT_BUDGET: u64 = 2_000_000_000;
         while !self.all_done() {
             // Unbounded runs (the common case) pop directly: one bucket
@@ -323,7 +319,7 @@ impl Engine {
         self.finish_accounting();
     }
 
-    fn dispatch<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, ev: Event) {
+    fn dispatch<M: PersistencyModel>(&mut self, m: &mut M, ev: Event) {
         match ev {
             Event::CoreStep(t) => self.core_step(m, t),
             Event::TryFlush(t) => self.try_flush(m, t),
@@ -408,7 +404,7 @@ impl Engine {
 
     /// Record the current crash-state digest on the collector timeline
     /// (no-op without a collector).
-    pub(super) fn note_crash_key<M: PersistencyModel + ?Sized>(&mut self, m: &M) {
+    pub(super) fn note_crash_key<M: PersistencyModel>(&mut self, m: &M) {
         let key = self.state_key(m.crash_key_mask());
         let now = self.now.raw();
         if let Some(col) = self.collector.as_mut() {
@@ -478,7 +474,7 @@ impl Engine {
 
     /// Abort on an empty event queue with unfinished threads.
     #[cold]
-    fn deadlock<M: PersistencyModel + ?Sized>(&self, m: &M) -> ! {
+    fn deadlock<M: PersistencyModel>(&self, m: &M) -> ! {
         panic!(
             "deadlock at {}: no events pending but threads unfinished: {}",
             self.now,
@@ -487,7 +483,7 @@ impl Engine {
     }
 
     /// Diagnostic snapshot of every unfinished core (deadlock reports).
-    pub(super) fn dump_state<M: PersistencyModel + ?Sized>(&self, m: &M) -> String {
+    pub(super) fn dump_state<M: PersistencyModel>(&self, m: &M) -> String {
         self.cores
             .iter()
             .filter(|c| !c.done)
@@ -603,7 +599,7 @@ impl Engine {
         self.cores[t].pb_occ_last = self.now;
     }
 
-    pub(super) fn update_pb_blocked<M: PersistencyModel + ?Sized>(&mut self, m: &M, t: usize) {
+    pub(super) fn update_pb_blocked<M: PersistencyModel>(&mut self, m: &M, t: usize) {
         if !self.uses_pb {
             return;
         }

@@ -17,7 +17,7 @@ impl Engine {
     // Core execution
     // ---------------------------------------------------------------
 
-    pub(super) fn core_step<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn core_step<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         self.cores[t].step_scheduled = false;
         if self.cores[t].done || self.cores[t].blocked.is_some() {
             return;
@@ -87,7 +87,7 @@ impl Engine {
         true
     }
 
-    fn execute_op<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize, op: MemOp) {
+    fn execute_op<M: PersistencyModel>(&mut self, m: &mut M, t: usize, op: MemOp) {
         match op {
             MemOp::Compute { cycles } => {
                 self.finish_op(t, Cycle(cycles * self.cfg.compute_scale));
@@ -137,7 +137,7 @@ impl Engine {
         }
     }
 
-    fn do_load<M: PersistencyModel + ?Sized>(
+    fn do_load<M: PersistencyModel>(
         &mut self,
         m: &mut M,
         t: usize,
@@ -186,7 +186,7 @@ impl Engine {
         }
     }
 
-    fn do_store<M: PersistencyModel + ?Sized>(
+    fn do_store<M: PersistencyModel>(
         &mut self,
         m: &mut M,
         t: usize,
@@ -294,7 +294,7 @@ impl Engine {
 
     /// `ofence` for persist-buffer designs: split the epoch, stalling on
     /// a full epoch table.
-    pub(super) fn pb_ofence<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn pb_ofence<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         if self.cores[t].et.is_full() {
             self.cores[t].blocked = Some(Block::EtFull {
                 since: self.now,
@@ -312,7 +312,7 @@ impl Engine {
 
     /// `dfence` for persist-buffer designs: close the epoch and wait for
     /// every epoch to commit.
-    pub(super) fn pb_dfence<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn pb_dfence<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         let ts = self.cores[t].cur_ts;
         self.cores[t].et.close(ts);
         self.try_commit(m, t);
@@ -343,7 +343,7 @@ impl Engine {
 
     /// Close the current epoch and open the next (ofence semantics).
     /// Caller must have checked `!et.is_full()`.
-    pub(super) fn split_epoch<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn split_epoch<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         let ts = self.cores[t].cur_ts;
         self.cores[t].et.close(ts);
         self.open_next_epoch(t);
@@ -366,12 +366,7 @@ impl Engine {
 
     /// Epoch persistency: any access supplied by a remote dirty line
     /// creates a dependency (paper §IV-E).
-    fn handle_ep_conflict<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        t: usize,
-        src_tid: ThreadId,
-    ) {
+    fn handle_ep_conflict<M: PersistencyModel>(&mut self, m: &mut M, t: usize, src_tid: ThreadId) {
         if self.flavor != Flavor::Epoch || !self.uses_pb || src_tid.0 == t {
             return;
         }
@@ -381,12 +376,7 @@ impl Engine {
 
     /// Release persistency: an acquire synchronizing with a remote
     /// release creates the dependency.
-    fn handle_acquire<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        t: usize,
-        line: LineAddr,
-    ) {
+    fn handle_acquire<M: PersistencyModel>(&mut self, m: &mut M, t: usize, line: LineAddr) {
         if !self.uses_pb {
             return;
         }
@@ -409,12 +399,7 @@ impl Engine {
 
     /// Release persistency: record the releasing epoch and end it
     /// (one-sided barrier).
-    fn handle_release<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        t: usize,
-        line: LineAddr,
-    ) {
+    fn handle_release<M: PersistencyModel>(&mut self, m: &mut M, t: usize, line: LineAddr) {
         if !self.uses_pb {
             return;
         }
@@ -427,12 +412,7 @@ impl Engine {
     /// Create a dependency on the *current* epoch of `src`'s thread,
     /// closing it (the coherence reply starts a new epoch at the source,
     /// §IV-E).
-    fn create_cross_dep<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        t: usize,
-        src_epoch: EpochId,
-    ) {
+    fn create_cross_dep<M: PersistencyModel>(&mut self, m: &mut M, t: usize, src_epoch: EpochId) {
         let s = src_epoch.thread.0;
         // Register the dependency *before* closing the source epoch: an
         // empty source epoch can commit inline during the split, and the
@@ -444,7 +424,7 @@ impl Engine {
     }
 
     /// Attach a dependency from `t`'s (new) epoch to `src_epoch`.
-    fn create_cross_dep_on<M: PersistencyModel + ?Sized>(
+    fn create_cross_dep_on<M: PersistencyModel>(
         &mut self,
         m: &mut M,
         t: usize,
@@ -478,7 +458,7 @@ impl Engine {
     // PB flushing
     // ---------------------------------------------------------------
 
-    pub(super) fn try_flush<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn try_flush<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         if !self.flush_engine {
             return;
         }
@@ -528,7 +508,7 @@ impl Engine {
         self.update_pb_blocked(m, t);
     }
 
-    pub(super) fn flush_arrive<M: PersistencyModel + ?Sized>(
+    pub(super) fn flush_arrive<M: PersistencyModel>(
         &mut self,
         m: &mut M,
         tid: usize,
@@ -608,7 +588,7 @@ impl Engine {
     /// Successful-flush bookkeeping shared by the tracked-PB designs:
     /// retire the entry, credit the epoch table, clear the NACK filter,
     /// drain parked evictions and re-attempt commits.
-    pub(super) fn ack_pb_flush<M: PersistencyModel + ?Sized>(
+    pub(super) fn ack_pb_flush<M: PersistencyModel>(
         &mut self,
         m: &mut M,
         tid: usize,
@@ -648,7 +628,7 @@ impl Engine {
     // Epoch commit
     // ---------------------------------------------------------------
 
-    pub(super) fn try_commit<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, t: usize) {
+    pub(super) fn try_commit<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         if !self.uses_pb {
             return;
         }
@@ -682,12 +662,7 @@ impl Engine {
         self.commit_mcs_scratch = mcs;
     }
 
-    pub(super) fn finalize_commit<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        t: usize,
-        ts: u64,
-    ) {
+    pub(super) fn finalize_commit<M: PersistencyModel>(&mut self, m: &mut M, t: usize, ts: u64) {
         let mut dependents = std::mem::take(&mut self.commit_deps_scratch);
         self.cores[t].et.finish_commit_into(ts, &mut dependents);
         let epoch = EpochId::new(ThreadId(t), ts);
@@ -739,11 +714,7 @@ impl Engine {
         self.schedule(at, Event::CommitAckArrive { epoch });
     }
 
-    pub(super) fn commit_ack_arrive<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        epoch: EpochId,
-    ) {
+    pub(super) fn commit_ack_arrive<M: PersistencyModel>(&mut self, m: &mut M, epoch: EpochId) {
         let t = epoch.thread.0;
         if self.cores[t].et.commit_ack(epoch.ts) {
             self.finalize_commit(m, t, epoch.ts);
@@ -751,12 +722,7 @@ impl Engine {
         }
     }
 
-    pub(super) fn cdr_arrive<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        tid: usize,
-        src: EpochId,
-    ) {
+    pub(super) fn cdr_arrive<M: PersistencyModel>(&mut self, m: &mut M, tid: usize, src: EpochId) {
         if self.cores[tid].et.resolve_dep(src) {
             self.trace(TraceRecord::Cdr {
                 tid,

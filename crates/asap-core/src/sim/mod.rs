@@ -38,9 +38,9 @@
 //! * `flows` — the engine's shared flows: core execution, the
 //!   load/store path, cross-thread dependencies, the flush pipeline and
 //!   the commit protocol. Each protocol decision defers to a hook.
-//! * [`model`] — the `PersistencyModel` trait (the hook contract), the
-//!   construction-time registry `build_model`, and the closed-world
-//!   `ModelDispatch` enum the hot path runs on.
+//! * [`model`] — the `PersistencyModel` trait (the hook contract) and
+//!   the closed-world `ModelDispatch` enum the run loop is instantiated
+//!   with; `ModelDispatch::new` maps a [`ModelKind`] to its design.
 //! * `baseline` / `hops` / `asap` / `eadr_bbb` — one implementation per
 //!   design, holding that design's private per-core state (baseline's
 //!   dirty sets, HOPS' global timestamps and poll flags, ASAP's
@@ -49,8 +49,8 @@
 //! The engine never branches on [`ModelKind`]; dispatch is fixed when
 //! [`SimBuilder::build`] resolves the kind. The run loop is generic over
 //! the model and instantiated with `ModelDispatch`, so every protocol
-//! hook is a visible five-way branch rather than a vtable call — the
-//! open `dyn PersistencyModel` registry remains the extension seam.
+//! hook is a visible five-way branch rather than a vtable call. A new
+//! design is one more variant in `ModelDispatch::new`.
 
 mod asap;
 mod baseline;
@@ -524,7 +524,6 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::collect::FNV_OFFSET;
-    use super::model::build_model;
     use super::*;
     use crate::ops::{BurstCtx, BurstStatus, ThreadProgram};
     use asap_sim_core::ThreadId;
@@ -566,54 +565,6 @@ mod tests {
                 base: 0x10_0040,
             }),
         ]
-    }
-
-    /// Run the engine through the open `dyn PersistencyModel` registry,
-    /// mirroring what `SimBuilder::build` does with `ModelDispatch`.
-    fn run_dyn(kind: ModelKind, flavor: Flavor) -> (Cycle, String) {
-        let mut cfg = SimConfig::paper();
-        let programs = programs();
-        cfg.num_cores = programs.len();
-        let mut model = build_model(kind, cfg.num_cores);
-        let mut engine = Engine::new(
-            cfg,
-            flavor,
-            programs,
-            false,
-            model.uses_pb(),
-            model.wants_background_flush(),
-        );
-        engine.run_until(model.as_mut(), None);
-        (engine.now, format!("{:?}", engine.stats))
-    }
-
-    fn run_enum(kind: ModelKind, flavor: Flavor) -> (Cycle, String) {
-        let mut sim = SimBuilder::new(SimConfig::paper(), kind, flavor)
-            .programs(programs())
-            .build();
-        sim.run_to_completion();
-        (sim.now(), format!("{:?}", sim.stats()))
-    }
-
-    /// The enum fast path and the boxed trait-object registry must be
-    /// indistinguishable: same cycles, same full stats block, for every
-    /// model under both persistency flavours.
-    #[test]
-    fn dispatch_parity_dyn_vs_enum() {
-        for kind in [
-            ModelKind::Baseline,
-            ModelKind::Hops,
-            ModelKind::Asap,
-            ModelKind::Eadr,
-            ModelKind::Bbb,
-        ] {
-            for flavor in [Flavor::Release, Flavor::Epoch] {
-                let (dyn_cycles, dyn_stats) = run_dyn(kind, flavor);
-                let (enum_cycles, enum_stats) = run_enum(kind, flavor);
-                assert_eq!(dyn_cycles, enum_cycles, "{kind}/{flavor:?} cycles");
-                assert_eq!(dyn_stats, enum_stats, "{kind}/{flavor:?} stats");
-            }
-        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! happens on a store, a fence, a flush ack/NACK, an epoch commit, a
 //! cross-thread dependency, a crash.
 //!
-//! Dispatch is fixed at construction time ([`build_model`]): the engine
-//! never branches on [`ModelKind`], so adding a design means adding an
-//! implementation file and a registry entry, not editing the machine.
+//! Dispatch is fixed at construction time ([`ModelDispatch::new`]): the
+//! engine never branches on [`ModelKind`], so adding a design means
+//! adding an implementation file and a `ModelDispatch` variant, not
+//! editing the machine.
 
 use super::collect::KeyMask;
 use super::engine::Engine;
@@ -46,9 +47,9 @@ impl StoreOp {
 ///
 /// Hooks take `(&mut self, eng: &mut Engine, ..)`: model state and
 /// engine state are disjoint, so a hook can re-enter engine flows that
-/// themselves are generic over `M: PersistencyModel + ?Sized` (e.g.
-/// `eng.split_epoch(self, t)`) — statically dispatched when called with
-/// a concrete model, still object-safe for the `dyn` registry.
+/// themselves are generic over `M: PersistencyModel` (e.g.
+/// `eng.split_epoch(self, t)`) — statically dispatched, whether called
+/// with a concrete model or with [`ModelDispatch`].
 pub(super) trait PersistencyModel {
     /// Does this design route stores through a tracked persist buffer
     /// with epoch-table accounting (HOPS, ASAP)?
@@ -168,30 +169,14 @@ pub(super) trait PersistencyModel {
     }
 }
 
-/// The model registry: construction-time dispatch from [`ModelKind`] to
-/// an implementation, with per-thread state sized for `n` cores. This is
-/// the only place a `ModelKind` is mapped to protocol behaviour.
-#[allow(dead_code)] // construction-time/public seam; the hot path uses ModelDispatch
-pub(super) fn build_model(kind: ModelKind, n: usize) -> Box<dyn PersistencyModel> {
-    match kind {
-        ModelKind::Baseline => Box::new(super::baseline::BaselineModel::new(n)),
-        ModelKind::Hops => Box::new(super::hops::HopsModel::new(n)),
-        ModelKind::Asap => Box::new(super::asap::AsapModel::new(n)),
-        ModelKind::Eadr => Box::new(super::eadr_bbb::EadrModel),
-        ModelKind::Bbb => Box::new(super::eadr_bbb::BbbModel),
-    }
-}
-
 /// Closed-world dispatch over the five concrete persistency models.
 ///
 /// The engine's inner loop is generic over `M: PersistencyModel`, and
 /// [`Sim`](super::Sim) instantiates it with this enum: every protocol
 /// hook is a five-way jump table the optimizer can see through (and
 /// inline), instead of an opaque vtable call per store/fence/flush.
-/// [`build_model`] remains the open, construction-time registry for
-/// callers that want a boxed trait object; both routes go through the
-/// same hook implementations, so behaviour is identical by construction
-/// (pinned by the `dispatch_parity_*` tests in `super::tests`).
+/// [`ModelDispatch::new`] is the only place a [`ModelKind`] is mapped to
+/// protocol behaviour.
 pub(super) enum ModelDispatch {
     /// Synchronous write-back baseline (`clwb + sfence` persist path).
     Baseline(super::baseline::BaselineModel),
@@ -206,7 +191,8 @@ pub(super) enum ModelDispatch {
 }
 
 impl ModelDispatch {
-    /// Enum counterpart of [`build_model`].
+    /// Construction-time dispatch from [`ModelKind`] to an
+    /// implementation, with per-thread state sized for `n` cores.
     pub(super) fn new(kind: ModelKind, n: usize) -> ModelDispatch {
         match kind {
             ModelKind::Baseline => ModelDispatch::Baseline(super::baseline::BaselineModel::new(n)),

@@ -111,10 +111,8 @@ impl FromStr for Shard {
 /// |---|---|
 /// | `--full` | paper-scale run (default: quick) |
 /// | `--seed N` | RNG seed override |
-/// | `--workers N` / `--threads N` | pin the per-process worker pool |
+/// | `--workers N` / `--threads N` | pin the in-process worker pool |
 /// | `--progress` | stderr `N/M jobs, ETA …` line |
-/// | `--procs N` | fan the sweep over N worker processes |
-/// | `--chunk N` | legs per work-stealing chunk (default 4) |
 /// | `--cache-dir DIR` | digest-keyed outcome cache + resume journal |
 /// | `--resume` | skip legs already journaled/cached in `--cache-dir` |
 /// | `--shard i/n` | run only legs `i (mod n)` (cross-machine split) |
@@ -128,23 +126,16 @@ pub struct SweepArgs {
     pub full: bool,
     /// RNG seed override (`--seed`).
     pub seed: Option<u64>,
-    /// Per-process worker-pool pin (`--workers` / `--threads`).
+    /// Worker-pool pin (`--workers` / `--threads`).
     pub workers: Option<usize>,
     /// Progress reporting (`--progress`).
     pub progress: bool,
-    /// Worker-process count for the multi-process executor (`--procs`).
-    pub procs: usize,
-    /// Legs per work-stealing chunk (`--chunk`).
-    pub chunk: usize,
     /// Outcome-cache directory (`--cache-dir`).
     pub cache_dir: Option<String>,
     /// Resume from the cache dir's journal (`--resume`).
     pub resume: bool,
     /// Shard of the sweep to run (`--shard i/n`).
     pub shard: Option<Shard>,
-    /// This process is a sweep worker child (internal flag, set by the
-    /// coordinator; see [`crate::proto::WORKER_FLAG`]).
-    pub worker_mode: bool,
 }
 
 impl SweepArgs {
@@ -157,21 +148,10 @@ impl SweepArgs {
             seed: parse_arg(argv, "--seed"),
             workers: parse_arg(argv, "--workers").or_else(|| parse_arg(argv, "--threads")),
             progress: has_flag(argv, "--progress"),
-            procs: parse_arg_or(argv, "--procs", 1usize),
-            chunk: parse_arg_or(argv, "--chunk", 4usize),
             cache_dir: arg_value(argv, "--cache-dir"),
             resume: has_flag(argv, "--resume"),
             shard: parse_arg(argv, "--shard"),
-            worker_mode: has_flag(argv, crate::proto::WORKER_FLAG),
         };
-        if sa.procs == 0 {
-            eprintln!("error: --procs must be at least 1");
-            std::process::exit(2);
-        }
-        if sa.chunk == 0 {
-            eprintln!("error: --chunk must be at least 1");
-            std::process::exit(2);
-        }
         if sa.resume && sa.cache_dir.is_none() {
             eprintln!("error: --resume requires --cache-dir (the journal lives there)");
             std::process::exit(2);
@@ -237,9 +217,7 @@ mod tests {
     #[test]
     fn sweep_args_defaults_and_flags() {
         let sa = SweepArgs::parse(&argv(&["prog"]));
-        assert!(!sa.full && !sa.resume && !sa.progress && !sa.worker_mode);
-        assert_eq!(sa.procs, 1);
-        assert_eq!(sa.chunk, 4);
+        assert!(!sa.full && !sa.resume && !sa.progress);
         assert_eq!(sa.workers, None);
         assert_eq!(sa.cache_dir, None);
         assert_eq!(sa.shard, None);
@@ -251,10 +229,6 @@ mod tests {
             "9",
             "--threads",
             "2",
-            "--procs",
-            "3",
-            "--chunk",
-            "8",
             "--cache-dir",
             "/tmp/c",
             "--resume",
@@ -265,8 +239,6 @@ mod tests {
         assert!(sa.full && sa.resume && sa.progress);
         assert_eq!(sa.seed, Some(9));
         assert_eq!(sa.workers, Some(2), "--threads is an alias");
-        assert_eq!(sa.procs, 3);
-        assert_eq!(sa.chunk, 8);
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
         assert_eq!(sa.shard, Some(Shard { index: 1, of: 2 }));
         assert_eq!(sa.scale().seed, 9);

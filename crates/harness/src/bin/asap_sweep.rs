@@ -1,23 +1,20 @@
-//! `asap_sweep`: the incremental, resumable, multi-process sweep
-//! coordinator.
+//! `asap_sweep`: the incremental, resumable sweep runner.
 //!
 //! ```text
 //! asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] [--requests N]
-//!            [--gap CYCLES] [--workers N] [--procs N] [--chunk N]
-//!            [--cache-dir DIR] [--resume] [--shard i/n] [--progress]
-//!            [--csv] [--cache-stats PATH]
+//!            [--gap CYCLES] [--workers N] [--cache-dir DIR] [--resume]
+//!            [--shard i/n] [--progress] [--csv] [--cache-stats PATH]
 //! ```
 //!
 //! Runs the named sweep through the executor layer
 //! ([`asap_harness::exec`]): with `--cache-dir`, completed legs persist
 //! to a digest-keyed outcome cache and re-runs only simulate changed
-//! legs; with `--procs N`, legs fan out over N worker processes (this
-//! same binary, re-executed with an internal flag) over a
-//! work-stealing chunk queue; `--resume` continues a killed sweep;
-//! `--shard i/n` runs one machine's slice. However the legs were
-//! executed — pooled, multi-process, cached, resumed — the table on
-//! stdout is byte-identical, because results assemble in input order
-//! and cached outcomes decode exactly.
+//! legs; the rest run on the in-process worker pool (`--workers N`);
+//! `--resume` continues a killed sweep; `--shard i/n` runs one
+//! machine's slice. However the legs were executed — at any worker
+//! count, cached, resumed — the table on stdout is byte-identical,
+//! because results assemble in input order and cached outcomes decode
+//! exactly.
 //!
 //! The sweep report (leg counts, cache hits, wall time) goes to stderr;
 //! `--cache-stats PATH` additionally writes it as JSON for CI gates.
@@ -33,9 +30,8 @@ use asap_harness::traffic::{table_from_runs, TrafficScale};
 fn usage() -> ! {
     println!(
         "usage: asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] \
-         [--requests N] [--gap CYCLES] [--workers N] [--procs N] \
-         [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n] \
-         [--progress] [--csv] [--cache-stats PATH]"
+         [--requests N] [--gap CYCLES] [--workers N] [--cache-dir DIR] \
+         [--resume] [--shard i/n] [--progress] [--csv] [--cache-stats PATH]"
     );
     std::process::exit(0);
 }

@@ -1,9 +1,8 @@
 //! Regenerates Figure 8: speedup over baseline, plus the §VII-A summary.
 //! Runs through the sweep executor, so the shared flags all work here:
-//! `--threads N`/`ASAP_THREADS` pins the pool, `--cache-dir DIR` makes
-//! re-runs incremental, `--procs N` fans out over worker processes,
-//! `--resume`/`--shard i/n` continue or split a sweep — the table is
-//! byte-identical in every case. A wall-clock footer and the sweep
+//! `--threads N`/`ASAP_THREADS` pins the in-process pool, `--cache-dir
+//! DIR` makes re-runs incremental, `--resume`/`--shard i/n` continue or
+//! split a sweep — the table is byte-identical in every case. A wall-clock footer and the sweep
 //! report (leg/cache-hit counts) go to stderr.
 use asap_harness::args::SweepArgs;
 use asap_harness::exec::{complete_outcomes, sweep_run_once};

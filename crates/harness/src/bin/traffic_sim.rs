@@ -28,9 +28,8 @@
 //! The main sweep runs through the executor layer
 //! ([`asap_harness::exec`]), so the shared sweep flags work here too:
 //! `--cache-dir DIR` persists each leg's outcome and makes re-runs
-//! incremental, `--procs N` fans legs over worker processes,
-//! `--resume` continues a killed sweep and `--shard i/n` splits it
-//! across machines — the table stays byte-identical throughout. The
+//! incremental, `--resume` continues a killed sweep and `--shard i/n`
+//! splits it across machines — the table stays byte-identical throughout. The
 //! `--replay` path bypasses the cache (its bank comes from a file the
 //! spec digest cannot see).
 //!
@@ -70,7 +69,7 @@ fn main() {
              [--requests N] [--update-fraction F] [--zipf THETA] [--seed N] \
              [--workers N] [--json] [--csv] \
              [--progress] [--emit-trace PATH] [--replay PATH] \
-             [--procs N] [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n]"
+             [--cache-dir DIR] [--resume] [--shard i/n]"
         );
         return;
     }

@@ -1,27 +1,23 @@
-//! The sweep executor: incremental, resumable, multi-process.
+//! The sweep executor: incremental, resumable, in-process.
 //!
 //! [`run_sweep`] is the one engine every sweep binary drives. Given `n`
 //! legs (a digest, a run closure and a codec per leg) plus the shared
 //! [`SweepArgs`], it:
 //!
-//! 1. **serves** — if this process is a worker child
-//!    ([`crate::proto::WORKER_FLAG`]), hands the legs to
-//!    [`crate::proto::serve_worker`] and never returns;
-//! 2. **probes** — with `--cache-dir`, loads every leg's entry from the
+//! 1. **probes** — with `--cache-dir`, loads every leg's entry from the
 //!    [`crate::cache::OutcomeCache`] and strict-decodes it (corrupted ⇒
 //!    miss ⇒ re-run);
-//! 3. **filters** — drops cached legs and, with `--shard i/n`, legs
+//! 2. **filters** — drops cached legs and, with `--shard i/n`, legs
 //!    owned by other machines;
-//! 4. **executes** — the surviving legs run on the in-process pool
-//!    (`--procs 1`) or across worker processes via
-//!    [`crate::proto::coordinate`] (`--procs N`), each completion
-//!    persisted to the cache and appended to the journal *before* the
-//!    sweep finishes — killing the sweep loses at most in-flight legs;
-//! 5. **assembles** — results land in input order, so a table built
+//! 3. **executes** — the surviving legs run on the in-process
+//!    [`crate::pool`], each completion persisted to the cache and
+//!    appended to the journal *before* the sweep finishes — killing the
+//!    sweep loses at most in-flight legs;
+//! 4. **assembles** — results land in input order, so a table built
 //!    from them is byte-identical however the legs were executed:
-//!    serial, pooled, multi-process, cached, or resumed. That is the
-//!    `par_map` contract of PR 2, extended across process and crash
-//!    boundaries.
+//!    serial, pooled at any worker count, cached, or resumed. That is
+//!    the `par_map` input-order contract, extended across cache and
+//!    crash boundaries.
 //!
 //! The journal (`<label>.journal` inside the cache dir) records one
 //! `done <idx> <digest>` line per completed leg. `--resume` replays it
@@ -30,9 +26,9 @@
 
 use crate::args::SweepArgs;
 use crate::cache::{self, OutcomeCache};
+use crate::pool;
 use crate::runner::{run_once, RunOutcome, RunSpec};
 use crate::traffic::{run_traffic, TrafficOutcome, TrafficSpec};
-use crate::{pool, proto};
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::PathBuf;
@@ -55,9 +51,7 @@ pub struct SweepReport {
     pub shard_skipped: usize,
     /// Cached legs that a previous (killed) run had journaled.
     pub resumed: usize,
-    /// Worker processes used (1 = in-process pool).
-    pub procs: usize,
-    /// Per-process worker threads.
+    /// Worker threads in the pool.
     pub workers: usize,
     /// Wall-clock of the whole sweep, milliseconds.
     pub wall_ms: f64,
@@ -70,7 +64,7 @@ impl SweepReport {
     pub fn summary(&self) -> String {
         format!(
             "# sweep {}: {} legs = {} cached + {} simulated + {} shard-skipped \
-             ({} resumed) in {:.1} ms on {} proc(s) x {} worker(s)",
+             ({} resumed) in {:.1} ms on {} worker(s)",
             self.label,
             self.legs,
             self.cached,
@@ -78,7 +72,6 @@ impl SweepReport {
             self.shard_skipped,
             self.resumed,
             self.wall_ms,
-            self.procs,
             self.workers,
         )
     }
@@ -88,7 +81,7 @@ impl SweepReport {
         format!(
             concat!(
                 "{{\"sweep\":\"{}\",\"legs\":{},\"cached\":{},\"simulated\":{},",
-                "\"shard_skipped\":{},\"resumed\":{},\"procs\":{},\"workers\":{},",
+                "\"shard_skipped\":{},\"resumed\":{},\"workers\":{},",
                 "\"wall_ms\":{:.3},\"complete\":{}}}"
             ),
             self.label,
@@ -97,7 +90,6 @@ impl SweepReport {
             self.simulated,
             self.shard_skipped,
             self.resumed,
-            self.procs,
             self.workers,
             self.wall_ms,
             self.complete,
@@ -135,9 +127,9 @@ fn read_journal(path: &std::path::Path, label: &str) -> Option<HashSet<u64>> {
     Some(done)
 }
 
-/// Cache + journal sink shared by both execution paths: persist the
-/// payload under the leg's digest, then append-and-flush the journal
-/// line, in that order — a journaled leg is always loadable on resume.
+/// Cache + journal sink: persist the payload under the leg's digest,
+/// then append-and-flush the journal line, in that order — a journaled
+/// leg is always loadable on resume.
 struct Sink<'a> {
     cache: Option<&'a OutcomeCache>,
     journal: Option<Mutex<std::fs::File>>,
@@ -159,12 +151,10 @@ impl Sink<'_> {
     }
 }
 
-/// Run an `n`-leg sweep through the cache/resume/shard/fan-out pipeline
-/// (see the module docs). Returns one outcome per leg in input order —
-/// `None` only for legs excluded by `--shard` — plus the report.
-/// Worker-child processes never return (they serve and exit); fatal
-/// executor errors (unusable cache dir, dead or divergent workers)
-/// terminate the process with a diagnostic.
+/// Run an `n`-leg sweep through the cache/resume/shard pipeline (see
+/// the module docs). Returns one outcome per leg in input order —
+/// `None` only for legs excluded by `--shard` — plus the report. An
+/// unusable cache dir terminates the process with a diagnostic.
 pub fn run_sweep<O, FDig, FRun, FEnc, FDec>(
     label: &str,
     n: usize,
@@ -179,15 +169,9 @@ where
     FDig: Fn(usize) -> u64,
     FRun: Fn(usize) -> O + Sync,
     FEnc: Fn(&O) -> String + Sync,
-    FDec: Fn(&str) -> Option<O> + Sync,
+    FDec: Fn(&str) -> Option<O>,
 {
     let digests: Vec<u64> = (0..n).map(digest_of).collect();
-    let sweep_digest = cache::fnv1a(&format!("{label} {digests:016x?}"));
-
-    if sa.worker_mode {
-        proto::serve_worker(n, sweep_digest, run, encode);
-    }
-
     let started = Instant::now();
     let cache = sa.cache_dir.as_ref().map(|d| {
         OutcomeCache::open(d).unwrap_or_else(|e| {
@@ -246,55 +230,14 @@ where
         digests: &digests,
     };
 
-    let mut procs_used = 1;
-    if !todo.is_empty() {
-        if sa.procs <= 1 {
-            // In-process: the pool prints its own progress over `todo`.
-            let outs = pool::par_map(&todo, |&i| {
-                let o = run(i);
-                sink.record(i, &encode(&o));
-                o
-            });
-            for (&i, o) in todo.iter().zip(outs) {
-                results[i] = Some(o);
-            }
-        } else {
-            // Multi-process: children re-exec this binary with the
-            // worker flag; the coordinator owns cache writes, the
-            // journal, and the single aggregated progress line.
-            let progress = pool::Progress::new(todo.len());
-            let merged: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(todo.len()));
-            let on_done = |idx: usize, payload: &str| {
-                let Some(o) = decode(payload) else {
-                    eprintln!("error: worker returned undecodable payload for leg {idx}");
-                    std::process::exit(1);
-                };
-                sink.record(idx, payload);
-                merged.lock().expect("merge lock").push((idx, o));
-                if let Some(p) = &progress {
-                    p.tick();
-                }
-            };
-            match proto::coordinate(
-                &worker_argv(sa),
-                n,
-                sweep_digest,
-                &todo,
-                sa.procs,
-                sa.chunk,
-                &on_done,
-            ) {
-                Ok(spawned) => procs_used = spawned,
-                Err(e) => {
-                    eprintln!("error: sweep executor: {e}");
-                    std::process::exit(1);
-                }
-            }
-            for (i, o) in merged.into_inner().expect("merge lock") {
-                debug_assert!(results[i].is_none(), "leg {i} delivered twice");
-                results[i] = Some(o);
-            }
-        }
+    // The pool prints its own progress over `todo`.
+    let outs = pool::par_map(&todo, |&i| {
+        let o = run(i);
+        sink.record(i, &encode(&o));
+        o
+    });
+    for (&i, o) in todo.iter().zip(outs) {
+        results[i] = Some(o);
     }
 
     let complete = results.iter().all(|r| r.is_some());
@@ -305,26 +248,11 @@ where
         simulated: todo.len(),
         shard_skipped,
         resumed,
-        procs: procs_used,
         workers: pool::num_workers(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         complete,
     };
     (results, report)
-}
-
-/// The argv for worker children: this process's args plus the worker
-/// flag, plus an explicit per-process `--workers` split of the machine
-/// when the user did not pin one (N procs × all cores would
-/// oversubscribe; an explicit `--workers` composes as given).
-fn worker_argv(sa: &SweepArgs) -> Vec<String> {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    argv.push(proto::WORKER_FLAG.to_string());
-    if sa.workers.is_none() {
-        argv.push("--workers".to_string());
-        argv.push((pool::num_workers() / sa.procs).max(1).to_string());
-    }
-    argv
 }
 
 /// [`run_sweep`] over closed-loop [`RunSpec`] legs via

@@ -53,7 +53,6 @@ pub mod exec;
 pub mod experiments;
 pub mod hwcost;
 pub mod pool;
-pub mod proto;
 mod report;
 mod runner;
 pub mod traffic;
@@ -69,7 +68,7 @@ pub use runner::{
 /// `--threads N`/`--workers N` ([`pool::num_workers`]), `--progress`
 /// and the sweep-executor flags,
 /// then installs the process-global settings. Binaries that only need
-/// the scale (fig02–fig13) call this; binaries that also cache/fan out
+/// the scale (fig02–fig13) call this; binaries that also cache or shard
 /// keep the returned [`args::SweepArgs`] via `SweepArgs::init()`.
 ///
 /// Malformed numeric values exit with status 2 and a diagnostic

@@ -8,7 +8,7 @@
 //! per distinct [`TrafficConfig`] and shared `Arc`'d across every leg
 //! that replays them (the PR 5 workload-bank idiom); results are
 //! collected in input order, so the emitted table is identical at any
-//! `--workers` count and for either event-queue kind.
+//! `--workers` count.
 
 use crate::pool;
 use crate::report::Table;

@@ -1,7 +1,7 @@
-//! End-to-end tests of the `asap_sweep` coordinator binary: the table
-//! must be byte-identical however the legs were executed — one process,
-//! several worker processes, from a warm cache, sharded then assembled
-//! — and the flag contract must fail fast on bad usage.
+//! End-to-end tests of the `asap_sweep` binary: the table must be
+//! byte-identical however the legs were executed — one worker, several
+//! workers, from a warm cache, sharded then assembled — and the flag
+//! contract must fail fast on bad usage.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -27,23 +27,21 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// The quick fig08 sweep at a tiny op count; `--workers 1` per process
-/// keeps the multi-process runs cheap on small CI machines.
+/// The quick fig08 sweep at a tiny op count on one worker, cheap on
+/// small CI machines.
 const QUICK: &[&str] = &["fig08", "--ops", "8", "--workers", "1"];
 
 #[test]
-fn multi_process_table_is_byte_identical_to_single_process() {
+fn table_is_byte_identical_across_worker_counts() {
     let one = sweep(QUICK);
     assert!(one.status.success(), "stderr: {}", stderr_of(&one));
 
-    let mut argv = QUICK.to_vec();
-    argv.extend(["--procs", "2", "--chunk", "3"]);
-    let two = sweep(&argv);
-    assert!(two.status.success(), "stderr: {}", stderr_of(&two));
+    let three = sweep(&["fig08", "--ops", "8", "--workers", "3"]);
+    assert!(three.status.success(), "stderr: {}", stderr_of(&three));
     assert_eq!(
         stdout_of(&one),
-        stdout_of(&two),
-        "the table must not depend on --procs"
+        stdout_of(&three),
+        "the table must not depend on --workers"
     );
 }
 
@@ -54,14 +52,7 @@ fn warm_cache_rerun_hits_every_leg_and_matches_bytes() {
     let stats = dir.join("stats.json");
     let stats_s = stats.to_str().unwrap();
     let mut argv = QUICK.to_vec();
-    argv.extend([
-        "--procs",
-        "2",
-        "--cache-dir",
-        dir_s,
-        "--cache-stats",
-        stats_s,
-    ]);
+    argv.extend(["--cache-dir", dir_s, "--cache-stats", stats_s]);
 
     let cold = sweep(&argv);
     assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
@@ -145,8 +136,6 @@ fn traffic_subcommand_runs_and_caches() {
         "400",
         "--workers",
         "1",
-        "--procs",
-        "2",
         "--cache-dir",
         dir_s,
     ];
@@ -165,7 +154,6 @@ fn bad_usage_exits_two() {
     for argv in [
         vec![],                           // no sweep name
         vec!["fig13"],                    // unknown sweep
-        vec!["fig08", "--procs", "0"],    // zero processes
         vec!["fig08", "--shard", "2/2"],  // index out of range
         vec!["fig08", "--resume"],        // resume without cache
         vec!["fig08", "--ops", "banana"], // malformed number

@@ -1,8 +1,7 @@
 //! Library-level tests of the sweep executor ([`asap_harness::exec`]):
 //! cache correctness (hit ⇒ byte-identical results, corruption ⇒
-//! re-run), resume after a partial run, and shard composition. All
-//! in-process (`--procs 1` path); the multi-process path is covered
-//! end-to-end by `asap_sweep_cli.rs`.
+//! re-run), resume after a partial run, and shard composition. The
+//! binary's flag handling is covered end-to-end by `asap_sweep_cli.rs`.
 
 use asap_harness::args::{Shard, SweepArgs};
 use asap_harness::cache::{encode_outcome, run_spec_digest, OutcomeCache};
@@ -39,12 +38,9 @@ fn sweep_args(cache_dir: Option<&Path>) -> SweepArgs {
         seed: None,
         workers: None,
         progress: false,
-        procs: 1,
-        chunk: 4,
         cache_dir: cache_dir.map(|p| p.to_str().expect("utf8 dir").to_string()),
         resume: false,
         shard: None,
-        worker_mode: false,
     }
 }
 

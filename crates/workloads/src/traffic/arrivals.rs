@@ -2,7 +2,7 @@
 //!
 //! Every process is driven by the workspace's own [`DetRng`], so a given
 //! `(kind, mean_gap, seed)` triple produces exactly one arrival timeline
-//! on every machine, worker count and queue kind — the determinism the
+//! on every machine and at every worker count — the determinism the
 //! byte-identical latency tables rest on. Arrival instants are absolute
 //! simulated cycles, strictly non-decreasing.
 

@@ -23,8 +23,8 @@
 //!
 //! Determinism contract: a request bank is a pure function of its
 //! [`TrafficConfig`]; the measured latency tables are a pure function of
-//! bank × app × timing model — independent of host threads, worker
-//! counts and event-queue kind.
+//! bank × app × timing model — independent of host threads and worker
+//! counts.
 
 mod arrivals;
 mod driver;
