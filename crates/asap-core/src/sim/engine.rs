@@ -140,6 +140,14 @@ pub(super) struct Engine {
     /// LLC evictions of a filtered line must wait for the retry.
     pub nack_filters: Vec<CountingBloom>,
     pub events_processed: u64,
+    /// The most recently scheduled core step, parked here instead of in
+    /// the queue: most steps are the next event to fire, and dispatching
+    /// them straight from the slot skips a push and a pop (see
+    /// [`Engine::run_until`] for why the event order stays exact).
+    pub step_slot: Option<(Cycle, usize)>,
+    /// Core steps dispatched from `step_slot` without entering the queue
+    /// (a subset of `events_processed`).
+    pub steps_bypassed: u64,
     pub crashed: bool,
     /// How many cores have finished (mirrors the per-core `done` flags):
     /// the run loop asks "all done?" once per event, and comparing one
@@ -253,6 +261,8 @@ impl Engine {
             release_map: Vec::new(),
             nack_filters,
             events_processed: 0,
+            step_slot: None,
+            steps_bypassed: 0,
             crashed: false,
             done_count: 0,
             // `ASAP_TRACE=0` / `""` / `off` must stay silent; only truthy
@@ -281,23 +291,41 @@ impl Engine {
     // Run loop
     // ---------------------------------------------------------------
 
+    /// Dispatch events in `(cycle, push order)` until every core retires
+    /// or the next event lies beyond `limit`.
+    ///
+    /// The parked core step (`step_slot`) fires without touching the
+    /// queue when it is strictly earlier than every queued event. That
+    /// is exact: [`Engine::schedule`] moves the slot into the queue
+    /// before any later push to the same cycle, so every queued event of
+    /// the slot's cycle was pushed before it. Otherwise the slot joins
+    /// the queue's tail for its cycle (again behind exactly the events
+    /// pushed before it) and the queue pops as usual.
     pub(super) fn run_until<M: PersistencyModel>(&mut self, m: &mut M, limit: Option<Cycle>) {
         const EVENT_BUDGET: u64 = 2_000_000_000;
         while !self.all_done() {
-            // Unbounded runs (the common case) pop directly: one bucket
-            // scan per event instead of a peek followed by a pop.
-            if let Some(l) = limit {
-                match self.queue.peek_time() {
-                    Some(next_time) if next_time > l => {
-                        self.now = l;
-                        break;
+            let (t, ev) = match self.take_bypassed_step(limit) {
+                Some(step) => step,
+                None => {
+                    self.flush_step_slot();
+                    // Unbounded runs (the common case) pop directly: one
+                    // bucket scan per event instead of a peek followed by
+                    // a pop.
+                    if let Some(l) = limit {
+                        match self.queue.peek_time() {
+                            Some(next_time) if next_time > l => {
+                                self.now = l;
+                                break;
+                            }
+                            Some(_) => {}
+                            None => self.deadlock(m),
+                        }
                     }
-                    Some(_) => {}
-                    None => self.deadlock(m),
+                    let Some(next) = self.queue.pop() else {
+                        self.deadlock(m)
+                    };
+                    next
                 }
-            }
-            let Some((t, ev)) = self.queue.pop() else {
-                self.deadlock(m)
             };
             self.now = t;
             self.events_processed += 1;
@@ -316,7 +344,30 @@ impl Engine {
                 self.note_crash_key(m);
             }
         }
+        // A run that stops leaves every pending event in the queue.
+        self.flush_step_slot();
         self.finish_accounting();
+    }
+
+    /// Take the parked core step if it fires before every queued event
+    /// and no later than `limit`.
+    #[inline]
+    fn take_bypassed_step(&mut self, limit: Option<Cycle>) -> Option<(Cycle, Event)> {
+        let (at, t) = self.step_slot?;
+        if limit.is_some_and(|l| at > l) || self.queue.peek_time().is_some_and(|next| next <= at) {
+            return None;
+        }
+        self.step_slot = None;
+        self.steps_bypassed += 1;
+        Some((at, Event::CoreStep(t)))
+    }
+
+    /// Move the parked core step, if any, into the queue.
+    #[inline]
+    fn flush_step_slot(&mut self) {
+        if let Some((at, t)) = self.step_slot.take() {
+            self.queue.push(at, Event::CoreStep(t));
+        }
     }
 
     fn dispatch<M: PersistencyModel>(&mut self, m: &mut M, ev: Event) {
@@ -455,8 +506,11 @@ impl Engine {
             let dt = now.saturating_sub(c.pb_occ_last).raw();
             self.stats.pb_occupancy.record_weighted(occ, dt);
             c.pb_occ_last = now;
-            if let Some(s) = c.pb_blocked_since.take() {
+            // An open blocked interval stays open: a later slice of a
+            // `run_for` run keeps counting it from here.
+            if let Some(s) = c.pb_blocked_since {
                 self.stats.cycles_blocked += now.saturating_sub(s).raw();
+                c.pb_blocked_since = Some(now);
             }
             self.stats.et_occupancy.record(c.et.len());
         }
@@ -517,13 +571,22 @@ impl Engine {
     // ---------------------------------------------------------------
 
     pub(super) fn schedule(&mut self, at: Cycle, ev: Event) {
-        self.queue.push(at.max(self.now), ev);
+        let at = at.max(self.now);
+        // The parked step was scheduled first, so on its own cycle it
+        // must stay ahead of this event.
+        if self.step_slot.is_some_and(|(s, _)| s == at) {
+            self.flush_step_slot();
+        }
+        self.queue.push(at, ev);
     }
 
+    /// Schedule core `t`'s next step by parking it in `step_slot`; an
+    /// older parked step moves to the queue first.
     pub(super) fn schedule_step(&mut self, t: usize, at: Cycle) {
         if !self.cores[t].step_scheduled && !self.cores[t].done {
             self.cores[t].step_scheduled = true;
-            self.schedule(at, Event::CoreStep(t));
+            self.flush_step_slot();
+            self.step_slot = Some((at.max(self.now), t));
         }
     }
 
@@ -606,7 +669,7 @@ impl Engine {
         // Ordering-blocked (Figure 3): a write is sitting in the buffer
         // that the flush policy refuses to issue. Buffers that are merely
         // waiting for in-flight acks are bandwidth-limited, not blocked.
-        let blocked_now = {
+        let blocked = {
             let core = &self.cores[t];
             core.pb.has_waiting()
                 && core
@@ -614,7 +677,14 @@ impl Engine {
                     .next_flushable(|e| m.epoch_eligible(self, t, e), !m.relaxed_lines(t))
                     .is_none()
         };
-        match (self.cores[t].pb_blocked_since, blocked_now) {
+        self.set_pb_blocked(t, blocked);
+    }
+
+    /// Open or close core `t`'s ordering-blocked interval. Callers that
+    /// have just seen `next_flushable` return `None` pass
+    /// `pb.has_waiting()` instead of paying for a second scan.
+    pub(super) fn set_pb_blocked(&mut self, t: usize, blocked: bool) {
+        match (self.cores[t].pb_blocked_since, blocked) {
             (None, true) => self.cores[t].pb_blocked_since = Some(self.now),
             (Some(s), false) => {
                 self.stats.cycles_blocked += self.now.saturating_sub(s).raw();
@@ -631,5 +701,85 @@ pub(super) fn block_name(b: &Block) -> &'static str {
         Block::EtFull { .. } => "EtFull",
         Block::DFence { .. } => "DFence",
         Block::SyncFence { .. } => "SyncFence",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An engine of `n` cores with the initial steps drained, so the
+    /// queue and the step slot start empty.
+    fn engine(n: usize) -> Engine {
+        let mut cfg = SimConfig::paper();
+        cfg.num_cores = n;
+        let mut eng = Engine::new(cfg, Flavor::Release, Vec::new(), false, true, true);
+        while let Some((_, ev)) = eng.queue.pop() {
+            assert!(matches!(ev, Event::CoreStep(_)));
+        }
+        for c in &mut eng.cores {
+            c.step_scheduled = false;
+        }
+        eng
+    }
+
+    fn drain(eng: &mut Engine) -> Vec<(u64, &'static str)> {
+        eng.flush_step_slot();
+        std::iter::from_fn(|| eng.queue.pop())
+            .map(|(t, ev)| {
+                let name = match ev {
+                    Event::CoreStep(_) => "step",
+                    Event::TryFlush(_) => "flush",
+                    Event::HopsPoll { .. } => "poll",
+                    _ => "other",
+                };
+                (t.raw(), name)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parked_step_keeps_push_order_on_its_cycle() {
+        let mut eng = engine(1);
+        eng.schedule(Cycle(10), Event::HopsPoll { tid: 0 });
+        eng.schedule_step(0, Cycle(10));
+        eng.schedule(Cycle(5), Event::TryFlush(0));
+        assert_eq!(eng.step_slot, Some((Cycle(10), 0)), "other cycles leave it");
+        eng.schedule(Cycle(10), Event::TryFlush(0));
+        assert_eq!(eng.step_slot, None, "a push to its cycle moves it first");
+        assert_eq!(
+            drain(&mut eng),
+            [(5, "flush"), (10, "poll"), (10, "step"), (10, "flush")]
+        );
+    }
+
+    #[test]
+    fn a_newer_step_pushes_the_older_one() {
+        let mut eng = engine(2);
+        eng.schedule_step(0, Cycle(7));
+        eng.schedule_step(1, Cycle(3));
+        assert_eq!(eng.step_slot, Some((Cycle(3), 1)));
+        assert_eq!(eng.queue.len(), 1);
+        assert_eq!(drain(&mut eng), [(3, "step"), (7, "step")]);
+    }
+
+    #[test]
+    fn bypass_needs_a_strictly_earlier_step_within_the_limit() {
+        let mut eng = engine(1);
+        eng.schedule(Cycle(10), Event::HopsPoll { tid: 0 });
+        eng.step_slot = Some((Cycle(10), 0));
+        assert!(
+            eng.take_bypassed_step(None).is_none(),
+            "tie goes to the queue"
+        );
+        eng.step_slot = Some((Cycle(9), 0));
+        assert!(
+            eng.take_bypassed_step(Some(Cycle(8))).is_none(),
+            "beyond limit"
+        );
+        let (t, ev) = eng.take_bypassed_step(Some(Cycle(9))).expect("bypass");
+        assert_eq!(t, Cycle(9));
+        assert!(matches!(ev, Event::CoreStep(0)));
+        assert_eq!((eng.step_slot, eng.steps_bypassed), (None, 1));
     }
 }

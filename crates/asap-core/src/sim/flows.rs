@@ -478,7 +478,13 @@ impl Engine {
                     .map(|e| (e.id, e.line, e.epoch))
             };
             let Some((id, line, epoch)) = candidate else {
-                break;
+                // The scan that found nothing to issue is the blocked
+                // test `update_pb_blocked` would repeat.
+                if self.uses_pb {
+                    let blocked = self.cores[t].pb.has_waiting();
+                    self.set_pb_blocked(t, blocked);
+                }
+                return;
             };
             let early = m.flushes_early(self, t, epoch.ts);
             if early {

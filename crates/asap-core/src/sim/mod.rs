@@ -257,6 +257,13 @@ impl Sim {
         self.engine.events_processed
     }
 
+    /// Core steps dispatched straight from the engine's step slot,
+    /// without a queue push and pop (counted in
+    /// [`Sim::events_processed`] too).
+    pub fn steps_bypassed(&self) -> u64 {
+        self.engine.steps_bypassed
+    }
+
     /// Take ownership of the statistics block, leaving a zeroed one
     /// behind. End-of-run extraction should prefer this over
     /// `stats().clone()`: the block carries four occupancy histograms
@@ -388,7 +395,8 @@ impl Sim {
         let now = self.engine.now;
         for c in &mut self.engine.cores {
             c.pb_occ_last = now;
-            c.pb_blocked_since = None;
+            // A core blocked across the ROI start counts from there.
+            c.pb_blocked_since = c.pb_blocked_since.map(|_| now);
             c.ops_completed = 0;
         }
     }

@@ -1,6 +1,8 @@
-//! Generic set-associative array with true-LRU replacement.
+//! Generic set-associative array with true-LRU replacement, kept as a
+//! most-recently-used order of 4-byte tags per set.
 
 use asap_sim_core::{LineAddr, LineIdx};
+use std::ops::Range;
 
 /// A set-associative tag array tracking which cache lines are present.
 ///
@@ -24,36 +26,35 @@ use asap_sim_core::{LineAddr, LineIdx};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc {
-    /// Flat slot storage: set `s` occupies `slots[s*ways..(s+1)*ways]`,
-    /// of which the first `lens[s]` entries are valid. Two allocations
-    /// for the whole array (a per-set `Vec<Vec<_>>` cost one allocation
-    /// per touched set — thousands per simulator in a sweep) and the
-    /// scan of a set is one contiguous cache line's worth of tags.
-    slots: Vec<(LineIdx, u64)>, // (interned line, last-use tick)
-    lens: Vec<u8>,
+    /// One `u32` per way: set `s` occupies `tags[s*ways..(s+1)*ways]`,
+    /// its valid tags first in most-recently-used order, then [`EMPTY`]
+    /// slots. The order *is* the recency state, so the least recently
+    /// used line is always the last valid tag and no per-way tick or
+    /// per-set length is stored.
+    tags: Vec<u32>,
     ways: usize,
-    tick: u64,
+    set_mask: usize,
 }
+
+/// Tag value of an unused way (never a valid interned index).
+const EMPTY: u32 = u32::MAX;
 
 impl SetAssoc {
     /// Create an array with `num_sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is not a power of two, either argument is 0,
-    /// or `ways` exceeds 255 (the per-set occupancy is a byte).
+    /// Panics if `num_sets` is not a power of two or either argument is 0.
     pub fn new(num_sets: usize, ways: usize) -> SetAssoc {
         assert!(
             num_sets.is_power_of_two() && num_sets > 0,
             "sets must be a power of two"
         );
         assert!(ways > 0, "ways must be nonzero");
-        assert!(ways <= u8::MAX as usize, "ways must fit in a byte");
         SetAssoc {
-            slots: vec![(LineIdx(0), 0); num_sets * ways],
-            lens: vec![0; num_sets],
+            tags: vec![EMPTY; num_sets * ways],
             ways,
-            tick: 0,
+            set_mask: num_sets - 1,
         }
     }
 
@@ -68,79 +69,59 @@ impl SetAssoc {
         SetAssoc::new(sets, ways)
     }
 
+    /// The index range in `tags` of the set holding `line`.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.index() as usize) & (self.lens.len() - 1)
-    }
-
-    /// The valid slots of the set holding `line`.
-    #[inline]
-    fn set(&self, s: usize) -> &[(LineIdx, u64)] {
-        &self.slots[s * self.ways..s * self.ways + self.lens[s] as usize]
+    fn set_range(&self, line: LineAddr) -> Range<usize> {
+        let base = ((line.index() as usize) & self.set_mask) * self.ways;
+        base..base + self.ways
     }
 
     /// Whether `line` (interned as `idx`) is present (does not update
     /// recency).
     #[inline]
     pub fn contains(&self, line: LineAddr, idx: LineIdx) -> bool {
-        self.set(self.set_index(line))
-            .iter()
-            .any(|&(l, _)| l == idx)
+        self.tags[self.set_range(line)].contains(&idx.0)
     }
 
-    /// Insert or refresh `line` (interned as `idx`); returns the victim
+    /// Insert or refresh `line` (interned as `idx`) as the set's most
+    /// recently used line; returns the least recently used victim
     /// evicted to make room, if any.
     pub fn touch(&mut self, line: LineAddr, idx: LineIdx) -> Option<LineIdx> {
-        self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_index(line);
-        let len = self.lens[s] as usize;
-        let base = s * self.ways;
-        let set = &mut self.slots[base..base + len];
-        if let Some(entry) = set.iter_mut().find(|(l, _)| *l == idx) {
-            entry.1 = tick;
-            return None;
-        }
-        if len < self.ways {
-            self.slots[base + len] = (idx, tick);
-            self.lens[s] += 1;
-            return None;
-        }
-        // Evict true-LRU victim.
-        let (victim_pos, _) = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(_, t))| t)
-            .expect("nonempty set");
-        let victim = set[victim_pos].0;
-        set[victim_pos] = (idx, tick);
-        Some(victim)
+        debug_assert_ne!(idx.0, EMPTY, "interned index collides with EMPTY");
+        let range = self.set_range(line);
+        let set = &mut self.tags[range];
+        // Valid tags form a prefix, so the first slot holding either the
+        // tag or EMPTY is the hit, or else the first free way.
+        let (end, victim) = match set.iter().position(|&x| x == idx.0 || x == EMPTY) {
+            Some(pos) => (pos, None),
+            None => (set.len() - 1, Some(LineIdx(set[set.len() - 1]))),
+        };
+        set.copy_within(..end, 1);
+        set[0] = idx.0;
+        victim
     }
 
     /// Remove `line` (interned as `idx`) if present; returns whether it
     /// was present.
     pub fn invalidate(&mut self, line: LineAddr, idx: LineIdx) -> bool {
-        let s = self.set_index(line);
-        let len = self.lens[s] as usize;
-        let base = s * self.ways;
-        let set = &mut self.slots[base..base + len];
-        if let Some(pos) = set.iter().position(|&(l, _)| l == idx) {
-            set.swap(pos, len - 1);
-            self.lens[s] -= 1;
-            true
-        } else {
-            false
-        }
+        let range = self.set_range(line);
+        let set = &mut self.tags[range];
+        let Some(pos) = set.iter().position(|&x| x == idx.0) else {
+            return false;
+        };
+        set.copy_within(pos + 1.., pos);
+        set[set.len() - 1] = EMPTY;
+        true
     }
 
     /// Number of lines currently present.
     pub fn occupancy(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        self.tags.iter().filter(|&&x| x != EMPTY).count()
     }
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
-        self.lens.len() * self.ways
+        self.tags.len()
     }
 }
 
@@ -204,6 +185,28 @@ mod tests {
         assert_eq!(c.capacity_lines(), 512);
         let c = SetAssoc::with_capacity_bytes(2 * 1024 * 1024, 8); // 2MB L2
         assert_eq!(c.capacity_lines(), 32768);
+    }
+
+    #[test]
+    fn invalidate_keeps_recency_of_the_rest() {
+        let mut c = SetAssoc::new(1, 3);
+        for i in 0..3 {
+            c.touch(la(i), ix(i));
+        }
+        assert!(c.invalidate(la(1), ix(1)));
+        c.touch(la(3), ix(3)); // fills the freed way
+        assert_eq!(c.touch(la(4), ix(4)), Some(ix(0)));
+        assert_eq!(c.touch(la(5), ix(5)), Some(ix(2)));
+    }
+
+    #[test]
+    fn associativity_is_not_limited_to_a_byte() {
+        let mut c = SetAssoc::new(1, 300);
+        for i in 0..300 {
+            assert_eq!(c.touch(la(i), ix(i)), None);
+        }
+        assert_eq!(c.occupancy(), 300);
+        assert_eq!(c.touch(la(300), ix(300)), Some(ix(0)));
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   and per-MC NVM write bandwidth, sampled every `--sample-every`
 //!   cycles (default 10000).
 //!
-//! Every run prints its event count and event-loop throughput
-//! (`# events <n> (<M> events/s)`) and then its provenance manifest
+//! Every run prints its event count, how many of those events were core
+//! steps dispatched without a queue round trip, and the event-loop
+//! throughput (`# events <n> (<b> steps bypassed the queue, <M>
+//! events/s)`), and then its provenance manifest
 //! (model, workload, seed, config digest, wall time) as one JSON line on
 //! stderr.
 //!
@@ -199,7 +201,8 @@ fn run() -> i32 {
     manifest.wall = t0.elapsed();
     let events = sim.events_processed();
     eprintln!(
-        "# events {events} ({:.2}M events/s)",
+        "# events {events} ({} steps bypassed the queue, {:.2}M events/s)",
+        sim.steps_bypassed(),
         events as f64 / manifest.wall.as_secs_f64().max(1e-9) / 1e6
     );
     eprintln!("# manifest {}", manifest.to_json());

@@ -79,8 +79,13 @@ fn valid_tiny_run_succeeds_and_prints_manifest() {
         .lines()
         .find_map(|l| l.strip_prefix("# events "))
         .unwrap_or_else(|| panic!("events line missing: {err}"));
-    let (count, rate) = events.split_once(' ').expect("count and rate");
-    assert!(count.parse::<u64>().unwrap() > 0, "{events}");
+    let (count, rest) = events.split_once(" (").expect("count and detail");
+    let count: u64 = count.parse().unwrap();
+    assert!(count > 0, "{events}");
+    let (bypassed, rate) = rest
+        .split_once(" steps bypassed the queue, ")
+        .expect("bypass count and rate");
+    assert!(bypassed.parse::<u64>().unwrap() < count, "{events}");
     assert!(rate.ends_with("M events/s)"), "{events}");
     assert!(
         err.find("# events ").unwrap() < err.find("# manifest").unwrap(),

@@ -1,7 +1,7 @@
 //! Randomized property tests on the core data structures and invariants:
 //! allocator disjointness, recovery-table state machine, Bloom filter,
-//! the event queue and the XPBuffer LRU against their reference
-//! implementations, histogram percentiles, the dependency DAG and the
+//! the event queue, the XPBuffer LRU and the cache tag array against
+//! their reference implementations, histogram percentiles, the dependency DAG and the
 //! crash oracle against its quadratic reference.
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
@@ -9,7 +9,7 @@
 //! rather than an external property-testing framework, which keeps the
 //! test suite dependency-free.
 
-use asap::cache::CountingBloom;
+use asap::cache::{CountingBloom, SetAssoc};
 use asap::mc::{RecoveryTable, XpBuffer};
 use asap::model::oracle;
 use asap::model::{CrashReport, DepGraph, Violation, ViolationRule};
@@ -433,6 +433,128 @@ fn xpbuffer_matches_reference_lru() {
             }
         }
         assert_eq!((xp.hits(), xp.misses()), (hits, misses), "case {case}");
+    }
+}
+
+// ---- set-associative tag array vs its tick-based reference ----
+
+/// The tag array as it was before the MRU-ordered `u32` layout: flat
+/// `(tag, last-use tick)` slots with a per-set length; a miss on a full
+/// set evicts the smallest tick, and invalidate swap-removes.
+struct RefSetAssoc {
+    slots: Vec<(LineIdx, u64)>,
+    lens: Vec<usize>,
+    ways: usize,
+    tick: u64,
+}
+
+impl RefSetAssoc {
+    fn new(num_sets: usize, ways: usize) -> RefSetAssoc {
+        RefSetAssoc {
+            slots: vec![(LineIdx(0), 0); num_sets * ways],
+            lens: vec![0; num_sets],
+            ways,
+            tick: 0,
+        }
+    }
+
+    fn set_index(&self, line: LineAddr) -> usize {
+        (line.index() as usize) & (self.lens.len() - 1)
+    }
+
+    fn contains(&self, line: LineAddr, idx: LineIdx) -> bool {
+        let s = self.set_index(line);
+        self.slots[s * self.ways..s * self.ways + self.lens[s]]
+            .iter()
+            .any(|&(l, _)| l == idx)
+    }
+
+    fn touch(&mut self, line: LineAddr, idx: LineIdx) -> Option<LineIdx> {
+        self.tick += 1;
+        let tick = self.tick;
+        let s = self.set_index(line);
+        let (len, base) = (self.lens[s], s * self.ways);
+        let set = &mut self.slots[base..base + len];
+        if let Some(entry) = set.iter_mut().find(|(l, _)| *l == idx) {
+            entry.1 = tick;
+            return None;
+        }
+        if len < self.ways {
+            self.slots[base + len] = (idx, tick);
+            self.lens[s] += 1;
+            return None;
+        }
+        let victim_pos = (0..len).min_by_key(|&i| set[i].1).expect("nonempty set");
+        let victim = set[victim_pos].0;
+        set[victim_pos] = (idx, tick);
+        Some(victim)
+    }
+
+    fn invalidate(&mut self, line: LineAddr, idx: LineIdx) -> bool {
+        let s = self.set_index(line);
+        let (len, base) = (self.lens[s], s * self.ways);
+        let set = &mut self.slots[base..base + len];
+        if let Some(pos) = set.iter().position(|&(l, _)| l == idx) {
+            set.swap(pos, len - 1);
+            self.lens[s] -= 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.lens.iter().sum()
+    }
+}
+
+/// Random `touch`/`invalidate`/`contains` sequences over 1, 2 or 4 sets
+/// of 1..=16 ways, on a line universe a few times the capacity: the MRU
+/// tag array and the tick reference agree on every victim, every
+/// membership answer and the occupancy after every operation.
+#[test]
+fn set_assoc_matches_reference_lru() {
+    for case in 0..CASES {
+        let mut rng = case_rng(20, case);
+        let sets = 1 << rng.index(3);
+        let ways = 1 + rng.index(16);
+        let mut tags = SetAssoc::new(sets, ways);
+        let mut reference = RefSetAssoc::new(sets, ways);
+        let universe = (sets * ways) as u64 * (1 + rng.below(4)) + 1;
+        for n in 0..2000 {
+            let i = rng.below(universe);
+            let (line, idx) = (LineAddr::containing(i * 64), LineIdx(i as u32));
+            match rng.below(10) {
+                0..=5 => assert_eq!(
+                    tags.touch(line, idx),
+                    reference.touch(line, idx),
+                    "case {case}: touch #{n} of line {i}, {sets}x{ways}"
+                ),
+                6..=7 => assert_eq!(
+                    tags.invalidate(line, idx),
+                    reference.invalidate(line, idx),
+                    "case {case}: invalidate #{n} of line {i}, {sets}x{ways}"
+                ),
+                _ => assert_eq!(
+                    tags.contains(line, idx),
+                    reference.contains(line, idx),
+                    "case {case}: contains #{n} of line {i}, {sets}x{ways}"
+                ),
+            }
+            assert_eq!(
+                tags.occupancy(),
+                reference.occupancy(),
+                "case {case}: occupancy after op #{n}"
+            );
+        }
+        for i in 0..universe {
+            let (line, idx) = (LineAddr::containing(i * 64), LineIdx(i as u32));
+            assert_eq!(
+                tags.contains(line, idx),
+                reference.contains(line, idx),
+                "case {case}: final membership of line {i}"
+            );
+        }
     }
 }
 
