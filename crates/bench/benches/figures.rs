@@ -1,14 +1,11 @@
-//! Benches regenerating every figure of the paper's evaluation at a
-//! reduced (bench-friendly) scale. Each bench body *is* the full
-//! experiment for that figure; the printed tables for EXPERIMENTS.md come
-//! from the `asap-harness` binaries at `--full` scale.
+//! Benches regenerating every entry of the figure catalogue (the paper's
+//! figures, Table V and the DESIGN.md ablations) at a reduced
+//! (bench-friendly) scale. Each bench body *is* the full experiment for
+//! that entry, legs and tables; the printed tables for EXPERIMENTS.md
+//! come from `asap_sweep all --full`.
 
 use asap_bench::Bench;
-use asap_harness::experiments::{
-    fig02_epochs, fig03_pb_stalls, fig08_performance, fig09_writes, fig10_scaling,
-    fig11_pb_occupancy, fig12_rt_occupancy, fig13_bandwidth, ExperimentScale,
-};
-use asap_harness::hwcost;
+use asap_harness::experiments::{figure_tables, ExperimentScale, CATALOGUE};
 use asap_sim_core::Cycle;
 
 fn bench_scale() -> ExperimentScale {
@@ -21,15 +18,7 @@ fn bench_scale() -> ExperimentScale {
 
 fn main() {
     let b = Bench::new().sample_size(10);
-    b.run("fig02_epochs", || fig02_epochs(bench_scale()));
-    b.run("fig03_pb_stalls", || fig03_pb_stalls(bench_scale()));
-    b.run("fig08_performance", || fig08_performance(bench_scale()));
-    b.run("fig09_writes", || fig09_writes(bench_scale()));
-    b.run("fig10_scaling", || fig10_scaling(bench_scale()));
-    b.run("fig11_pb_occupancy", || fig11_pb_occupancy(bench_scale()));
-    b.run("fig12_rt_occupancy", || fig12_rt_occupancy(bench_scale()));
-    b.run("fig13_bandwidth", || fig13_bandwidth(bench_scale()));
-    b.run("tab05_hwcost", || {
-        (hwcost::table5(), hwcost::drain_comparison(32))
-    });
+    for f in &CATALOGUE {
+        b.run(f.name, || figure_tables(f.name, bench_scale()));
+    }
 }

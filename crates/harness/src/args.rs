@@ -120,7 +120,7 @@ impl FromStr for Shard {
 /// Malformed values exit with status 2 ([`parse_arg`]'s contract);
 /// `--resume` without `--cache-dir` is an error. [`SweepArgs::apply`]
 /// installs the process-global settings (worker override, progress); [`SweepArgs::init`] is the one-call form the binaries use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepArgs {
     /// Paper-scale run requested (`--full`).
     pub full: bool,

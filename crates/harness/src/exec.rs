@@ -4,16 +4,20 @@
 //! legs (a digest, a run closure and a codec per leg) plus the shared
 //! [`SweepArgs`], it:
 //!
-//! 1. **probes** — with `--cache-dir`, loads every leg's entry from the
-//!    [`crate::cache::OutcomeCache`] and strict-decodes it (corrupted ⇒
-//!    miss ⇒ re-run);
-//! 2. **filters** — drops cached legs and, with `--shard i/n`, legs
-//!    owned by other machines;
-//! 3. **executes** — the surviving legs run on the in-process
+//! 1. **folds** — legs that share a digest are one simulation: only the
+//!    first of them is probed, filtered and run, and its outcome is
+//!    handed to the rest (figures that reuse each other's legs, such as
+//!    the 4-core HOPS_RP runs, simulate them once);
+//! 2. **probes** — with `--cache-dir`, loads every distinct leg's entry
+//!    from the [`crate::cache::OutcomeCache`] and strict-decodes it
+//!    (corrupted ⇒ miss ⇒ re-run);
+//! 3. **filters** — drops cached legs and, with `--shard i/n`, legs
+//!    owned by other machines (shards split the distinct legs);
+//! 4. **executes** — the surviving legs run on the in-process
 //!    [`crate::pool`], each completion persisted to the cache and
 //!    appended to the journal *before* the sweep finishes — killing the
 //!    sweep loses at most in-flight legs;
-//! 4. **assembles** — results land in input order, so a table built
+//! 5. **assembles** — results land in input order, so a table built
 //!    from them is byte-identical however the legs were executed:
 //!    serial, pooled at any worker count, cached, or resumed. That is
 //!    the `par_map` input-order contract, extended across cache and
@@ -27,9 +31,10 @@
 use crate::args::SweepArgs;
 use crate::cache::{self, OutcomeCache};
 use crate::pool;
-use crate::runner::{run_once, RunOutcome, RunSpec};
+use crate::runner::{run_once, run_window, RunOutcome, RunSpec};
 use crate::traffic::{run_traffic, TrafficOutcome, TrafficSpec};
-use std::collections::HashSet;
+use asap_sim_core::Cycle;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -49,6 +54,9 @@ pub struct SweepReport {
     pub simulated: usize,
     /// Legs skipped because another shard owns them.
     pub shard_skipped: usize,
+    /// Legs that share a digest with an earlier leg and reuse its
+    /// outcome instead of being probed or run.
+    pub folded: usize,
     /// Cached legs that a previous (killed) run had journaled.
     pub resumed: usize,
     /// Worker threads in the pool.
@@ -64,12 +72,13 @@ impl SweepReport {
     pub fn summary(&self) -> String {
         format!(
             "# sweep {}: {} legs = {} cached + {} simulated + {} shard-skipped \
-             ({} resumed) in {:.1} ms on {} worker(s)",
+             + {} folded ({} resumed) in {:.1} ms on {} worker(s)",
             self.label,
             self.legs,
             self.cached,
             self.simulated,
             self.shard_skipped,
+            self.folded,
             self.resumed,
             self.wall_ms,
             self.workers,
@@ -81,7 +90,7 @@ impl SweepReport {
         format!(
             concat!(
                 "{{\"sweep\":\"{}\",\"legs\":{},\"cached\":{},\"simulated\":{},",
-                "\"shard_skipped\":{},\"resumed\":{},\"workers\":{},",
+                "\"shard_skipped\":{},\"folded\":{},\"resumed\":{},\"workers\":{},",
                 "\"wall_ms\":{:.3},\"complete\":{}}}"
             ),
             self.label,
@@ -89,6 +98,7 @@ impl SweepReport {
             self.cached,
             self.simulated,
             self.shard_skipped,
+            self.folded,
             self.resumed,
             self.workers,
             self.wall_ms,
@@ -151,8 +161,8 @@ impl Sink<'_> {
     }
 }
 
-/// Run an `n`-leg sweep through the cache/resume/shard pipeline (see
-/// the module docs). Returns one outcome per leg in input order —
+/// Run an `n`-leg sweep through the fold/cache/resume/shard pipeline
+/// (see the module docs). Returns one outcome per leg in input order —
 /// `None` only for legs excluded by `--shard` — plus the report. An
 /// unusable cache dir terminates the process with a diagnostic.
 pub fn run_sweep<O, FDig, FRun, FEnc, FDec>(
@@ -165,13 +175,20 @@ pub fn run_sweep<O, FDig, FRun, FEnc, FDec>(
     sa: &SweepArgs,
 ) -> (Vec<Option<O>>, SweepReport)
 where
-    O: Send,
+    O: Clone + Send,
     FDig: Fn(usize) -> u64,
     FRun: Fn(usize) -> O + Sync,
     FEnc: Fn(&O) -> String + Sync,
     FDec: Fn(&str) -> Option<O>,
 {
     let digests: Vec<u64> = (0..n).map(digest_of).collect();
+    // `owner[i]` is the first leg with leg `i`'s digest; only those
+    // distinct legs are probed, sharded and run.
+    let mut first: HashMap<u64, usize> = HashMap::new();
+    let owner: Vec<usize> = (0..n)
+        .map(|i| *first.entry(digests[i]).or_insert(i))
+        .collect();
+    let distinct: Vec<usize> = (0..n).filter(|&i| owner[i] == i).collect();
     let started = Instant::now();
     let cache = sa.cache_dir.as_ref().map(|d| {
         OutcomeCache::open(d).unwrap_or_else(|e| {
@@ -189,12 +206,12 @@ where
         _ => HashSet::new(),
     };
 
-    // Probe the cache for every leg.
+    // Probe the cache for every distinct leg.
     let mut results: Vec<Option<O>> = (0..n).map(|_| None).collect();
     let mut cached = 0usize;
     let mut resumed = 0usize;
     if let Some(c) = &cache {
-        for i in 0..n {
+        for &i in &distinct {
             if let Some(o) = c.load(digests[i]).and_then(|p| decode(&p)) {
                 if journaled.contains(&digests[i]) {
                     resumed += 1;
@@ -205,11 +222,13 @@ where
         }
     }
 
-    let todo: Vec<usize> = (0..n)
-        .filter(|&i| results[i].is_none())
-        .filter(|&i| sa.shard.is_none_or(|s| s.owns(i)))
+    let todo: Vec<usize> = distinct
+        .iter()
+        .enumerate()
+        .filter(|&(k, &i)| results[i].is_none() && sa.shard.is_none_or(|s| s.owns(k)))
+        .map(|(_, &i)| i)
         .collect();
-    let shard_skipped = n - cached - todo.len();
+    let shard_skipped = distinct.len() - cached - todo.len();
 
     // (Re)open the journal: fresh runs rewrite it, resumed runs append
     // (re-run legs are re-journaled; duplicate lines are harmless).
@@ -239,6 +258,11 @@ where
     for (&i, o) in todo.iter().zip(outs) {
         results[i] = Some(o);
     }
+    for i in 0..n {
+        if owner[i] != i {
+            results[i] = results[owner[i]].clone();
+        }
+    }
 
     let complete = results.iter().all(|r| r.is_some());
     let report = SweepReport {
@@ -247,6 +271,7 @@ where
         cached,
         simulated: todo.len(),
         shard_skipped,
+        folded: n - distinct.len(),
         resumed,
         workers: pool::num_workers(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -255,18 +280,63 @@ where
     (results, report)
 }
 
-/// [`run_sweep`] over closed-loop [`RunSpec`] legs via
-/// [`crate::run_once`] — the entry point for figure sweeps.
-pub fn sweep_run_once(
+/// One closed-loop sweep leg: a spec run to completion, or for a fixed
+/// simulated window (Figure 2's 1 ms methodology).
+#[derive(Debug, Clone)]
+pub struct Leg {
+    /// What to simulate.
+    pub spec: RunSpec,
+    /// `Some(w)` runs `w` cycles via [`run_window`]; `None` runs to
+    /// completion via [`run_once`].
+    pub window: Option<Cycle>,
+}
+
+impl Leg {
+    /// A leg that runs `spec` to completion.
+    pub fn complete(spec: RunSpec) -> Leg {
+        Leg { spec, window: None }
+    }
+
+    /// A leg that runs `spec` in its [`RunSpec::windowed`] form for
+    /// `window` cycles.
+    pub fn windowed(spec: RunSpec, window: Cycle) -> Leg {
+        Leg {
+            spec: spec.windowed(),
+            window: Some(window),
+        }
+    }
+
+    /// Outcome-cache key: `mode=complete` for complete legs (the key
+    /// every cache written so far uses), `mode=window=<cycles>` for
+    /// windowed ones.
+    pub fn digest(&self) -> u64 {
+        match self.window {
+            None => cache::run_spec_digest(&self.spec, "complete"),
+            Some(w) => cache::run_spec_digest(&self.spec, &format!("window={}", w.raw())),
+        }
+    }
+
+    /// Simulate this leg.
+    pub fn run(&self) -> RunOutcome {
+        match self.window {
+            None => run_once(&self.spec),
+            Some(w) => run_window(&self.spec, w),
+        }
+    }
+}
+
+/// [`run_sweep`] over closed-loop [`Leg`]s — the entry point for
+/// figure sweeps.
+pub fn sweep_legs(
     label: &str,
-    specs: &[RunSpec],
+    legs: &[Leg],
     sa: &SweepArgs,
 ) -> (Vec<Option<RunOutcome>>, SweepReport) {
     run_sweep(
         label,
-        specs.len(),
-        |i| cache::run_spec_digest(&specs[i], "complete"),
-        |i| run_once(&specs[i]),
+        legs.len(),
+        |i| legs[i].digest(),
+        |i| legs[i].run(),
         cache::encode_outcome,
         cache::decode_outcome,
         sa,

@@ -1,20 +1,24 @@
-//! The figure/table regeneration functions (paper §VII).
+//! The figure catalogue: every table and figure of the paper's
+//! evaluation (§VII) plus the DESIGN.md ablations.
 //!
-//! Every function returns a [`Table`] whose rows correspond to the bars /
-//! series of the original figure. All runs are deterministic given the
-//! seed embedded in [`ExperimentScale`].
-//!
-//! Each function follows the same two-phase shape: build the flat
-//! `Vec<RunSpec>` for the whole sweep, fan it out through
-//! [`pool::par_map`], then assemble rows from the outcomes by index.
-//! Outcomes come back in spec order and each run is deterministic, so
-//! the tables are byte-identical to what the old serial loops produced.
+//! Each [`Figure`] in [`CATALOGUE`] is two pure functions: its legs (the
+//! simulations it needs, as [`Leg`]s) and an assembler that turns one
+//! outcome per leg, in leg order, into its [`Table`]s. [`run_figures`]
+//! runs the union of the chosen figures' legs as one sweep through
+//! [`exec::run_sweep`](crate::exec::run_sweep), which simulates each
+//! distinct leg once (figures share many: the 4-core HOPS_RP and
+//! ASAP_RP legs each feed five of them) and can answer legs from the
+//! outcome cache. All runs are deterministic given the seed embedded in
+//! [`ExperimentScale`], so the tables are byte-identical however the
+//! legs were executed.
 
-use crate::pool;
+use crate::args::SweepArgs;
+use crate::exec::{complete_outcomes, sweep_legs, Leg, SweepReport};
+use crate::hwcost;
 use crate::report::{f2, Table};
-use crate::runner::{run_once, run_window, RunOutcome, RunSpec};
+use crate::runner::{run_once, RunOutcome, RunSpec};
 use asap_core::{Flavor, ModelKind};
-use asap_sim_core::{Cycle, SimConfig};
+use asap_sim_core::{Cycle, SimConfig, SimConfigBuilder};
 use asap_workloads::WorkloadKind;
 
 /// How big to run the experiments.
@@ -40,8 +44,9 @@ impl ExperimentScale {
         }
     }
 
-    /// Paper-scale settings for report generation (minutes of wall
-    /// clock on one core; the sweeps parallelize across all of them).
+    /// Paper-scale settings for report generation (every figure takes
+    /// about 13 s of wall clock on one core of a 2-vCPU VM; the sweeps
+    /// parallelize across all of them).
     pub fn full() -> ExperimentScale {
         ExperimentScale {
             ops: 600,
@@ -49,6 +54,80 @@ impl ExperimentScale {
             seed: 42,
         }
     }
+}
+
+/// One catalogue entry: a paper artefact (figure, table or ablation
+/// set) as the legs it simulates and the assembler of its tables.
+#[derive(Debug)]
+pub struct Figure {
+    /// The name `asap_sweep` selects it by.
+    pub name: &'static str,
+    /// The legs, in the order [`Figure::tables`] expects their outcomes.
+    pub legs: fn(ExperimentScale) -> Vec<Leg>,
+    /// Assemble the tables from one outcome per leg, in leg order.
+    pub tables: fn(&[RunOutcome]) -> Vec<Table>,
+}
+
+/// Every figure, in the order `asap_sweep all` prints them.
+pub static CATALOGUE: [Figure; 10] = [
+    entry("fig02", fig02_legs, fig02_tables),
+    entry("fig03", fig03_legs, fig03_tables),
+    entry("fig08", fig08_legs, fig08_tables),
+    entry("fig09", hops_asap_rp_legs, fig09_tables),
+    entry("fig10", fig10_legs, fig10_tables),
+    entry("fig11", hops_asap_rp_legs, fig11_tables),
+    entry("fig12", fig12_legs, fig12_tables),
+    entry("fig13", fig13_legs, fig13_tables),
+    entry("tab05", |_| Vec::new(), tab05_tables),
+    entry("ablations", ablation_legs, ablation_tables),
+];
+
+const fn entry(
+    name: &'static str,
+    legs: fn(ExperimentScale) -> Vec<Leg>,
+    tables: fn(&[RunOutcome]) -> Vec<Table>,
+) -> Figure {
+    Figure { name, legs, tables }
+}
+
+/// Run `figs` as one sweep labelled `label` (see the module docs) and
+/// return their tables in `figs` order — `None` when a leg is missing,
+/// which only happens under `--shard`.
+pub fn run_figures(
+    label: &str,
+    figs: &[&Figure],
+    scale: ExperimentScale,
+    sa: &SweepArgs,
+) -> (Option<Vec<Table>>, SweepReport) {
+    let per_figure: Vec<Vec<Leg>> = figs.iter().map(|f| (f.legs)(scale)).collect();
+    let (results, report) = sweep_legs(label, &per_figure.concat(), sa);
+    let tables = complete_outcomes(results).map(|outs| {
+        let mut rest = &outs[..];
+        let mut tables = Vec::new();
+        for (f, legs) in figs.iter().zip(&per_figure) {
+            let (mine, tail) = rest.split_at(legs.len());
+            tables.extend((f.tables)(mine));
+            rest = tail;
+        }
+        tables
+    });
+    (tables, report)
+}
+
+/// The tables of the catalogue figure `name`, simulated in-process
+/// without a cache (tests and benches).
+///
+/// # Panics
+///
+/// Panics if `name` is not in [`CATALOGUE`].
+pub fn figure_tables(name: &str, scale: ExperimentScale) -> Vec<Table> {
+    let f = CATALOGUE
+        .iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no figure named {name}"));
+    run_figures(name, &[f], scale, &SweepArgs::default())
+        .0
+        .expect("an unsharded sweep is complete")
 }
 
 fn spec(
@@ -67,17 +146,45 @@ fn spec(
     }
 }
 
-/// The workload list of the figures (Table III order).
-pub fn figure_workloads() -> Vec<WorkloadKind> {
-    WorkloadKind::all().to_vec()
+/// [`spec`] on the configuration `config` builds.
+fn spec_on(
+    config: SimConfigBuilder,
+    model: ModelKind,
+    flavor: Flavor,
+    workload: WorkloadKind,
+    scale: ExperimentScale,
+) -> RunSpec {
+    RunSpec {
+        config: config.build().expect("valid"),
+        ..spec(model, flavor, workload, scale)
+    }
 }
 
-/// The figure workloads minus the Fig. 13 bandwidth microbenchmark —
-/// the per-workload bar charts (Figures 8–12) all skip it.
-fn bar_chart_workloads() -> Vec<WorkloadKind> {
-    figure_workloads()
+/// One thread of the alternating-MC bandwidth microbenchmark at four
+/// times the scale's ops. One thread isolates ordering cost from raw
+/// demand: with many threads every design saturates the media and the
+/// contrast between designs vanishes.
+fn bandwidth_probe(config: SimConfigBuilder, model: ModelKind, scale: ExperimentScale) -> Leg {
+    let mut s = spec_on(
+        config.cores(1),
+        model,
+        Flavor::Release,
+        WorkloadKind::Bandwidth,
+        scale,
+    );
+    s.ops_per_thread = scale.ops * 4;
+    Leg::complete(s)
+}
+
+/// The HOPS_RP and ASAP_RP legs of every workload, in pairs (Figures 9
+/// and 11).
+fn hops_asap_rp_legs(scale: ExperimentScale) -> Vec<Leg> {
+    WorkloadKind::all()
         .into_iter()
-        .filter(|&w| w != WorkloadKind::Bandwidth)
+        .flat_map(|w| {
+            [ModelKind::Hops, ModelKind::Asap]
+                .map(|m| Leg::complete(spec(m, Flavor::Release, w, scale)))
+        })
         .collect()
 }
 
@@ -89,7 +196,22 @@ fn bar_chart_workloads() -> Vec<WorkloadKind> {
 /// measurement window (paper: 1 ms, 4 threads, release persistency). The
 /// EP columns are our extension showing why EP sees far more
 /// dependencies.
-pub fn fig02_epochs(scale: ExperimentScale) -> Table {
+///
+/// Measured under HOPS, like the paper's methodology (§III runs the
+/// dependency study with HOPS): a dependency is counted when the source
+/// epoch is still in flight, and HOPS's conservative commit timing is
+/// what exposes them.
+fn fig02_legs(scale: ExperimentScale) -> Vec<Leg> {
+    WorkloadKind::all()
+        .into_iter()
+        .flat_map(|w| {
+            [Flavor::Release, Flavor::Epoch]
+                .map(|f| Leg::windowed(spec(ModelKind::Hops, f, w, scale), scale.window))
+        })
+        .collect()
+}
+
+fn fig02_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 2: epochs and cross-thread dependencies per window (4 threads)",
         &[
@@ -100,21 +222,7 @@ pub fn fig02_epochs(scale: ExperimentScale) -> Table {
             "cross_deps_ep",
         ],
     );
-    // Measured under HOPS, like the paper's methodology (§III runs the
-    // dependency study with HOPS): a dependency is counted when the
-    // source epoch is still in flight, and HOPS's conservative commit
-    // timing is what exposes them.
-    let specs: Vec<RunSpec> = figure_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale).windowed(),
-                spec(ModelKind::Hops, Flavor::Epoch, w, scale).windowed(),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, |s| run_window(s, scale.window));
-    for (w, pair) in figure_workloads().iter().zip(outs.chunks_exact(2)) {
+    for (w, pair) in WorkloadKind::all().iter().zip(outs.chunks_exact(2)) {
         let (rp, ep) = (&pair[0], &pair[1]);
         t.push_row(vec![
             w.label().into(),
@@ -124,7 +232,7 @@ pub fn fig02_epochs(scale: ExperimentScale) -> Table {
             ep.stats.inter_t_epoch_conflict.to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
@@ -133,19 +241,21 @@ pub fn fig02_epochs(scale: ExperimentScale) -> Table {
 
 /// Figure 3: percentage of cycles the persist buffers are blocked from
 /// flushing under HOPS (release persistency).
-pub fn fig03_pb_stalls(scale: ExperimentScale) -> Table {
+fn fig03_legs(scale: ExperimentScale) -> Vec<Leg> {
+    WorkloadKind::all()
+        .into_iter()
+        .map(|w| Leg::complete(spec(ModelKind::Hops, Flavor::Release, w, scale)))
+        .collect()
+}
+
+fn fig03_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 3: % of cycles persist buffers are blocked (HOPS_RP)",
         &["workload", "blocked_pct"],
     );
-    let specs: Vec<RunSpec> = figure_workloads()
-        .into_iter()
-        .map(|w| spec(ModelKind::Hops, Flavor::Release, w, scale))
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
     let mut total = 0.0;
     let mut n = 0;
-    for (w, out) in figure_workloads().iter().zip(&outs) {
+    for (w, out) in WorkloadKind::all().iter().zip(outs) {
         let threads = SimConfig::paper().num_cores as f64;
         let pct = 100.0 * out.stats.cycles_blocked as f64 / (out.cycles as f64 * threads);
         total += pct;
@@ -153,7 +263,7 @@ pub fn fig03_pb_stalls(scale: ExperimentScale) -> Table {
         t.push_row(vec![w.label().into(), f2(pct)]);
     }
     t.push_row(vec!["average".into(), f2(total / n as f64)]);
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
@@ -174,7 +284,7 @@ const FIG8_MODELS: [(&str, ModelKind, Flavor); 6] = [
 /// `sweep_bench` and the parallel/serial equivalence tests can drive the
 /// exact production sweep.
 pub fn fig08_specs(scale: ExperimentScale) -> Vec<RunSpec> {
-    bar_chart_workloads()
+    WorkloadKind::all()
         .into_iter()
         .flat_map(|w| {
             FIG8_MODELS
@@ -184,17 +294,20 @@ pub fn fig08_specs(scale: ExperimentScale) -> Vec<RunSpec> {
         .collect()
 }
 
-/// Figure 8: speedup over the Intel baseline for every model and
-/// workload in a 4-core, 2-MC system.
-pub fn fig08_performance(scale: ExperimentScale) -> Table {
-    let specs = fig08_specs(scale);
-    let outs = pool::par_map(&specs, run_once);
-    fig08_table_from(&outs)
+fn fig08_legs(scale: ExperimentScale) -> Vec<Leg> {
+    fig08_specs(scale).into_iter().map(Leg::complete).collect()
 }
 
-/// Assemble the Figure 8 table from precomputed outcomes in
-/// [`fig08_specs`] order — shared by [`fig08_performance`] and the
-/// `asap_sweep` executor, whose legs may come from the outcome cache.
+/// Figure 8 and the §VII-A headline numbers derived from it.
+fn fig08_tables(outs: &[RunOutcome]) -> Vec<Table> {
+    let t = fig08_table_from(outs);
+    let summary = fig08_summary(&t);
+    vec![t, summary]
+}
+
+/// Figure 8: speedup over the Intel baseline for every model and
+/// workload in a 4-core, 2-MC system, assembled from one outcome per
+/// [`fig08_specs`] leg, in that order.
 ///
 /// # Panics
 ///
@@ -202,7 +315,7 @@ pub fn fig08_performance(scale: ExperimentScale) -> Table {
 pub fn fig08_table_from(outs: &[RunOutcome]) -> Table {
     assert_eq!(
         outs.len(),
-        bar_chart_workloads().len() * FIG8_MODELS.len(),
+        WorkloadKind::all().len() * FIG8_MODELS.len(),
         "one outcome per fig08 spec"
     );
     let mut t = Table::new(
@@ -213,7 +326,7 @@ pub fn fig08_table_from(outs: &[RunOutcome]) -> Table {
     );
     let mut sums = [0.0f64; 6];
     let mut n = 0;
-    for (w, models) in bar_chart_workloads()
+    for (w, models) in WorkloadKind::all()
         .iter()
         .zip(outs.chunks_exact(FIG8_MODELS.len()))
     {
@@ -272,7 +385,7 @@ pub fn fig08_summary(fig8: &Table) -> Table {
 /// we normalize the extra reads per 100 media writes since our
 /// cache-resident workloads issue almost no demand PM reads to divide
 /// by).
-pub fn fig09_writes(scale: ExperimentScale) -> Table {
+fn fig09_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 9: PM write operations, ASAP vs HOPS (release persistency)",
         &[
@@ -283,20 +396,10 @@ pub fn fig09_writes(scale: ExperimentScale) -> Table {
             "undo_reads_per_100_writes",
         ],
     );
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale),
-                spec(ModelKind::Asap, Flavor::Release, w, scale),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
     let mut norm_sum = 0.0;
     let mut read_sum = 0.0;
     let mut n = 0;
-    for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
+    for (w, pair) in WorkloadKind::all().iter().zip(outs.chunks_exact(2)) {
         let (h, a) = (&pair[0], &pair[1]);
         let norm = a.media_writes as f64 / h.media_writes.max(1) as f64;
         let extra_reads = a.stats.nvm_reads.saturating_sub(h.stats.nvm_reads) as f64;
@@ -319,17 +422,44 @@ pub fn fig09_writes(scale: ExperimentScale) -> Table {
         f2(norm_sum / n as f64),
         f2(read_sum / n as f64),
     ]);
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 10
 // -------------------------------------------------------------------
 
+const FIG10_THREADS: [usize; 4] = [1, 2, 4, 8];
+
 /// Figure 10: throughput scaling with core count — HOPS vs ASAP
 /// normalized to single-thread HOPS (paper shows best = P-ART, worst =
-/// skiplist, plus the average).
-pub fn fig10_scaling(scale: ExperimentScale) -> Table {
+/// skiplist, plus the average). Legs: the 1-thread HOPS baseline of
+/// every workload first, then the HOPS/ASAP pair of every (thread
+/// count, workload) cell; the baselines fold into the 1-thread cells.
+fn fig10_legs(scale: ExperimentScale) -> Vec<Leg> {
+    let leg = |model, w, threads| {
+        Leg::complete(spec_on(
+            SimConfig::builder().cores(threads),
+            model,
+            Flavor::Release,
+            w,
+            scale,
+        ))
+    };
+    let mut legs: Vec<Leg> = WorkloadKind::all()
+        .into_iter()
+        .map(|w| leg(ModelKind::Hops, w, 1))
+        .collect();
+    for threads in FIG10_THREADS {
+        for w in WorkloadKind::all() {
+            legs.push(leg(ModelKind::Hops, w, threads));
+            legs.push(leg(ModelKind::Asap, w, threads));
+        }
+    }
+    legs
+}
+
+fn fig10_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 10: speedup over 1-thread HOPS (release persistency, 2 MCs)",
         &[
@@ -342,30 +472,11 @@ pub fn fig10_scaling(scale: ExperimentScale) -> Table {
             "asap_skiplist",
         ],
     );
-    let workloads = bar_chart_workloads();
-    let thread_counts = [1usize, 2, 4, 8];
-    let spec_t = |model, w, threads: usize| -> RunSpec {
-        let mut s = spec(model, Flavor::Release, w, scale);
-        s.config = SimConfig::builder().cores(threads).build().expect("valid");
-        s
-    };
-    // Baselines (1-thread HOPS per workload) first, then the HOPS/ASAP
-    // pair for every (thread count, workload) cell.
-    let mut specs: Vec<RunSpec> = workloads
-        .iter()
-        .map(|&w| spec_t(ModelKind::Hops, w, 1))
-        .collect();
-    for &threads in &thread_counts {
-        for &w in &workloads {
-            specs.push(spec_t(ModelKind::Hops, w, threads));
-            specs.push(spec_t(ModelKind::Asap, w, threads));
-        }
-    }
-    let outs = pool::par_map(&specs, run_once);
+    let workloads = WorkloadKind::all();
     let tput = |o: &RunOutcome| o.ops as f64 / o.cycles as f64;
     let base: Vec<f64> = outs[..workloads.len()].iter().map(tput).collect();
     let mut idx = workloads.len();
-    for &threads in &thread_counts {
+    for threads in FIG10_THREADS {
         let mut hops_sum = 0.0;
         let mut asap_sum = 0.0;
         let mut hops_part = 0.0;
@@ -398,7 +509,7 @@ pub fn fig10_scaling(scale: ExperimentScale) -> Table {
             f2(asap_sl),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
@@ -407,22 +518,12 @@ pub fn fig10_scaling(scale: ExperimentScale) -> Table {
 
 /// Figure 11: persist-buffer occupancy — time-weighted average and 99th
 /// percentile, HOPS vs ASAP.
-pub fn fig11_pb_occupancy(scale: ExperimentScale) -> Table {
+fn fig11_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 11: PB occupancy (avg and p99), HOPS vs ASAP",
         &["workload", "hops_avg", "hops_p99", "asap_avg", "asap_p99"],
     );
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale),
-                spec(ModelKind::Asap, Flavor::Release, w, scale),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
+    for (w, pair) in WorkloadKind::all().iter().zip(outs.chunks_exact(2)) {
         let (h, a) = (&pair[0], &pair[1]);
         t.push_row(vec![
             w.label().into(),
@@ -432,7 +533,7 @@ pub fn fig11_pb_occupancy(scale: ExperimentScale) -> Table {
             a.stats.pb_occupancy.percentile(99.0).to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
@@ -440,92 +541,140 @@ pub fn fig11_pb_occupancy(scale: ExperimentScale) -> Table {
 // -------------------------------------------------------------------
 
 /// Figure 12: recovery-table maximum occupancy with 4 and 8 threads.
-pub fn fig12_rt_occupancy(scale: ExperimentScale) -> Table {
+fn fig12_legs(scale: ExperimentScale) -> Vec<Leg> {
+    WorkloadKind::all()
+        .into_iter()
+        .flat_map(|w| {
+            [4, 8].map(|threads| {
+                Leg::complete(spec_on(
+                    SimConfig::builder().cores(threads),
+                    ModelKind::Asap,
+                    Flavor::Release,
+                    w,
+                    scale,
+                ))
+            })
+        })
+        .collect()
+}
+
+fn fig12_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 12: recovery table max occupancy (ASAP_RP)",
         &["workload", "rt_max_4t", "rt_max_8t"],
     );
-    let spec_t = |w, threads: usize| -> RunSpec {
-        let mut s = spec(ModelKind::Asap, Flavor::Release, w, scale);
-        s.config = SimConfig::builder().cores(threads).build().expect("valid");
-        s
-    };
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| [spec_t(w, 4), spec_t(w, 8)])
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
+    for (w, pair) in WorkloadKind::all().iter().zip(outs.chunks_exact(2)) {
         t.push_row(vec![
             w.label().into(),
             pair[0].rt_max_occupancy.to_string(),
             pair[1].rt_max_occupancy.to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 13
 // -------------------------------------------------------------------
 
+const FIG13_MODELS: [(&str, ModelKind); 4] = [
+    ("baseline", ModelKind::Baseline),
+    ("hops", ModelKind::Hops),
+    ("asap", ModelKind::Asap),
+    ("eadr", ModelKind::Eadr),
+];
+
 /// Figure 13: write-bandwidth utilization of the alternating-MC
 /// microbenchmark.
-pub fn fig13_bandwidth(scale: ExperimentScale) -> Table {
+fn fig13_legs(scale: ExperimentScale) -> Vec<Leg> {
+    FIG13_MODELS
+        .iter()
+        .map(|&(_, m)| bandwidth_probe(SimConfig::builder(), m, scale))
+        .collect()
+}
+
+fn fig13_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 13: system write-bandwidth utilization (256B ofence-ordered writes across 2 MCs)",
         &["model", "utilization_pct", "cycles"],
     );
-    const MODELS: [(&str, ModelKind, Flavor); 4] = [
-        ("baseline", ModelKind::Baseline, Flavor::Release),
-        ("hops", ModelKind::Hops, Flavor::Release),
-        ("asap", ModelKind::Asap, Flavor::Release),
-        ("eadr", ModelKind::Eadr, Flavor::Release),
-    ];
-    let specs: Vec<RunSpec> = MODELS
-        .iter()
-        .map(|&(_, m, f)| {
-            // One thread isolates ordering cost from raw demand: with many
-            // threads every design saturates the media and the figure's
-            // contrast vanishes.
-            let mut s = spec(m, f, WorkloadKind::Bandwidth, scale);
-            s.config = SimConfig::builder().cores(1).build().expect("valid");
-            s.ops_per_thread = scale.ops * 4;
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&(name, _, _), out) in MODELS.iter().zip(&outs) {
+    for (&(name, _), out) in FIG13_MODELS.iter().zip(outs) {
         t.push_row(vec![
             name.into(),
             f2(out.media_utilization * 100.0),
             out.cycles.to_string(),
         ]);
     }
-    t
+    vec![t]
+}
+
+// -------------------------------------------------------------------
+// Table V
+// -------------------------------------------------------------------
+
+/// Table V (hardware cost) and the §VII-D drain comparison: analytical,
+/// so the entry has no legs.
+fn tab05_tables(_: &[RunOutcome]) -> Vec<Table> {
+    vec![hwcost::table5(), hwcost::drain_comparison(32)]
 }
 
 // -------------------------------------------------------------------
 // Ablations (DESIGN.md §7)
 // -------------------------------------------------------------------
 
+const ABL_RT_SIZES: [usize; 5] = [4, 8, 16, 32, 64];
+const ABL_PB_SIZES: [usize; 5] = [4, 8, 16, 32, 64];
+const ABL_NVM_WRITE_NS: [u64; 4] = [45, 90, 180, 360];
+const ABL_MC_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The four ablation sweeps back to back: RT size and PB size on
+/// ASAP_RP cceh, then the HOPS/ASAP pair of the bandwidth probe per NVM
+/// write latency and per MC count.
+fn ablation_legs(scale: ExperimentScale) -> Vec<Leg> {
+    let cceh = |config| {
+        Leg::complete(spec_on(
+            config,
+            ModelKind::Asap,
+            Flavor::Release,
+            WorkloadKind::Cceh,
+            scale,
+        ))
+    };
+    let probes = |config: SimConfigBuilder| {
+        [ModelKind::Hops, ModelKind::Asap].map(|m| bandwidth_probe(config.clone(), m, scale))
+    };
+    let mut legs: Vec<Leg> = ABL_RT_SIZES
+        .map(|rt| cceh(SimConfig::builder().rt_entries(rt)))
+        .into();
+    legs.extend(ABL_PB_SIZES.map(|pb| cceh(SimConfig::builder().pb_entries(pb))));
+    for ns in ABL_NVM_WRITE_NS {
+        legs.extend(probes(SimConfig::builder().nvm_write_ns(ns)));
+    }
+    for mcs in ABL_MC_COUNTS {
+        legs.extend(probes(SimConfig::builder().mcs(mcs)));
+    }
+    legs
+}
+
+fn ablation_tables(outs: &[RunOutcome]) -> Vec<Table> {
+    let (rt, rest) = outs.split_at(ABL_RT_SIZES.len());
+    let (pb, rest) = rest.split_at(ABL_PB_SIZES.len());
+    let (nvm, mc) = rest.split_at(2 * ABL_NVM_WRITE_NS.len());
+    vec![
+        abl_rt_size(rt),
+        abl_pb_size(pb),
+        abl_nvm_bw(nvm),
+        abl_mc_count(mc),
+    ]
+}
+
 /// RT-size sweep: NACK fallback frequency and performance (§V-D).
-pub fn abl_rt_size(scale: ExperimentScale) -> Table {
+fn abl_rt_size(outs: &[RunOutcome]) -> Table {
     let mut t = Table::new(
         "Ablation: recovery-table size (ASAP_RP, cceh)",
         &["rt_entries", "cycles", "nacks", "tot_spec_writes"],
     );
-    let sizes = [4usize, 8, 16, 32, 64];
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .map(|&rt| {
-            let mut s = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, scale);
-            s.config = SimConfig::builder().rt_entries(rt).build().expect("valid");
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&rt, out) in sizes.iter().zip(&outs) {
+    for (rt, out) in ABL_RT_SIZES.iter().zip(outs) {
         t.push_row(vec![
             rt.to_string(),
             out.cycles.to_string(),
@@ -537,22 +686,12 @@ pub fn abl_rt_size(scale: ExperimentScale) -> Table {
 }
 
 /// PB-size sweep: back-pressure onto the core.
-pub fn abl_pb_size(scale: ExperimentScale) -> Table {
+fn abl_pb_size(outs: &[RunOutcome]) -> Table {
     let mut t = Table::new(
         "Ablation: persist-buffer size (ASAP_RP, cceh)",
         &["pb_entries", "cycles", "cyclesStalled"],
     );
-    let sizes = [4usize, 8, 16, 32, 64];
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .map(|&pb| {
-            let mut s = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, scale);
-            s.config = SimConfig::builder().pb_entries(pb).build().expect("valid");
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&pb, out) in sizes.iter().zip(&outs) {
+    for (pb, out) in ABL_PB_SIZES.iter().zip(outs) {
         t.push_row(vec![
             pb.to_string(),
             out.cycles.to_string(),
@@ -566,7 +705,7 @@ pub fn abl_pb_size(scale: ExperimentScale) -> Table {
 /// that ASAP "offers greater performance benefit with increasing NVM
 /// write bandwidth" — faster media widens the gap (ordering dominates),
 /// slower media saturates every design and narrows it.
-pub fn abl_nvm_bw(scale: ExperimentScale) -> Table {
+fn abl_nvm_bw(outs: &[RunOutcome]) -> Table {
     let mut t = Table::new(
         "Ablation: NVM write latency (ASAP vs HOPS, 1-thread bandwidth probe)",
         &[
@@ -576,24 +715,7 @@ pub fn abl_nvm_bw(scale: ExperimentScale) -> Table {
             "asap_over_hops",
         ],
     );
-    let lats = [45u64, 90, 180, 360];
-    let specs: Vec<RunSpec> = lats
-        .iter()
-        .flat_map(|&ns| {
-            [ModelKind::Hops, ModelKind::Asap].map(|m| {
-                let mut s = spec(m, Flavor::Release, WorkloadKind::Bandwidth, scale);
-                s.config = SimConfig::builder()
-                    .cores(1)
-                    .nvm_write_ns(ns)
-                    .build()
-                    .expect("valid");
-                s.ops_per_thread = scale.ops * 4;
-                s
-            })
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&ns, pair) in lats.iter().zip(outs.chunks_exact(2)) {
+    for (ns, pair) in ABL_NVM_WRITE_NS.iter().zip(outs.chunks_exact(2)) {
         let (h, a) = (pair[0].cycles, pair[1].cycles);
         t.push_row(vec![
             ns.to_string(),
@@ -607,31 +729,12 @@ pub fn abl_nvm_bw(scale: ExperimentScale) -> Table {
 
 /// MC-count sweep on the bandwidth microbenchmark (§III's multi-MC
 /// motivation).
-pub fn abl_mc_count(scale: ExperimentScale) -> Table {
+fn abl_mc_count(outs: &[RunOutcome]) -> Table {
     let mut t = Table::new(
         "Ablation: memory-controller count (bandwidth microbenchmark)",
         &["mcs", "hops_cycles", "asap_cycles", "asap_over_hops"],
     );
-    let counts = [1usize, 2, 4];
-    let specs: Vec<RunSpec> = counts
-        .iter()
-        .flat_map(|&mcs| {
-            [ModelKind::Hops, ModelKind::Asap].map(|m| {
-                // One thread isolates the cross-MC ordering cost (§III);
-                // with more threads every design saturates the media.
-                let mut s = spec(m, Flavor::Release, WorkloadKind::Bandwidth, scale);
-                s.config = SimConfig::builder()
-                    .cores(1)
-                    .mcs(mcs)
-                    .build()
-                    .expect("valid");
-                s.ops_per_thread = scale.ops * 4;
-                s
-            })
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&mcs, pair) in counts.iter().zip(outs.chunks_exact(2)) {
+    for (mcs, pair) in ABL_MC_COUNTS.iter().zip(outs.chunks_exact(2)) {
         let (h, a) = (pair[0].cycles, pair[1].cycles);
         t.push_row(vec![
             mcs.to_string(),
@@ -641,16 +744,6 @@ pub fn abl_mc_count(scale: ExperimentScale) -> Table {
         ]);
     }
     t
-}
-
-/// All ablation tables.
-pub fn ablations(scale: ExperimentScale) -> Vec<Table> {
-    vec![
-        abl_rt_size(scale),
-        abl_pb_size(scale),
-        abl_nvm_bw(scale),
-        abl_mc_count(scale),
-    ]
 }
 
 /// Convenience: the Table VI stat listing for one run (gem5-style).
@@ -667,6 +760,7 @@ pub fn stats_txt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -678,7 +772,7 @@ mod tests {
 
     #[test]
     fn fig13_shape_asap_beats_hops() {
-        let t = fig13_bandwidth(tiny());
+        let t = &figure_tables("fig13", tiny())[0];
         let hops = t.cell_f64("hops", "utilization_pct").unwrap();
         let asap = t.cell_f64("asap", "utilization_pct").unwrap();
         assert!(
@@ -692,8 +786,8 @@ mod tests {
 
     #[test]
     fn fig08_shape_on_subset() {
-        // Full fig08 is exercised by the binaries/benches; here check the
-        // model ordering on one representative workload.
+        // Full fig08 is exercised by asap_sweep and the benches; here
+        // check the model ordering on one representative workload.
         let s = tiny();
         let cycles: Vec<u64> = FIG8_MODELS
             .iter()
@@ -715,11 +809,11 @@ mod tests {
     #[test]
     fn fig08_specs_cover_models_by_workload() {
         let specs = fig08_specs(tiny());
-        assert_eq!(specs.len(), bar_chart_workloads().len() * FIG8_MODELS.len());
+        assert_eq!(specs.len(), WorkloadKind::all().len() * FIG8_MODELS.len());
         // Row-major: the first chunk is all six models of the first
         // workload, in FIG8_MODELS column order.
         for (s, &(_, m, f)) in specs.iter().zip(FIG8_MODELS.iter()) {
-            assert_eq!(s.workload, bar_chart_workloads()[0]);
+            assert_eq!(s.workload, WorkloadKind::all()[0]);
             assert_eq!(s.model, m);
             assert_eq!(s.flavor, f);
         }
@@ -732,16 +826,18 @@ mod tests {
             window: Cycle(50_000),
             seed: 1,
         };
-        // Only two workloads to keep the test fast: build a table inline.
-        let spec_rp = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, s).windowed();
-        let rp = run_window(&spec_rp, s.window);
+        let leg = Leg::windowed(
+            spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, s),
+            s.window,
+        );
+        let rp = leg.run();
         assert!(rp.stats.epochs_created > 0);
         assert!(!rp.all_done);
     }
 
     #[test]
     fn abl_mc_count_single_mc_less_advantage() {
-        let t = abl_mc_count(tiny());
+        let t = &figure_tables("ablations", tiny())[3];
         let one = t.cell_f64("1", "asap_over_hops").unwrap();
         let two = t.cell_f64("2", "asap_over_hops").unwrap();
         // The multi-MC motivation: ASAP's edge grows with MC count.
@@ -749,6 +845,22 @@ mod tests {
             two >= one * 0.95,
             "2-MC advantage ({two}) should not collapse vs 1-MC ({one})"
         );
+    }
+
+    #[test]
+    fn catalogue_legs_fold_to_distinct_digests() {
+        // Every figure at quick scale: 364 legs, of which 218 are
+        // distinct simulations. A change to either count adds, drops or
+        // duplicates a leg and has to say why.
+        let legs: Vec<Leg> = CATALOGUE
+            .iter()
+            .flat_map(|f| (f.legs)(ExperimentScale::quick()))
+            .collect();
+        let distinct: HashSet<u64> = legs.iter().map(Leg::digest).collect();
+        assert_eq!(legs.len(), 364);
+        assert_eq!(distinct.len(), 218);
+        let names: HashSet<&str> = CATALOGUE.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), CATALOGUE.len(), "figure names are unique");
     }
 
     #[test]

@@ -89,46 +89,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Render one numeric column as a horizontal ASCII bar chart (rows
-    /// labelled by the first column). Non-numeric cells are skipped.
-    ///
-    /// ```text
-    /// cceh       |##############################            | 2.31
-    /// echo       |######################                    | 1.75
-    /// ```
-    pub fn to_bars(&self, column: &str) -> String {
-        let Some(col) = self.headers.iter().position(|h| h == column) else {
-            return format!("(no column named {column})\n");
-        };
-        let values: Vec<(String, f64)> = self
-            .rows
-            .iter()
-            .filter_map(|r| {
-                let label = r.first()?.clone();
-                let v: f64 = r.get(col)?.parse().ok()?;
-                Some((label, v))
-            })
-            .collect();
-        let max = values.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
-        if values.is_empty() || max <= 0.0 {
-            return "(no numeric data)\n".to_string();
-        }
-        let width = 42usize;
-        let label_w = values.iter().map(|(l, _)| l.len()).max().unwrap_or(8);
-        let mut out = format!("{} — {column}\n", self.title);
-        for (label, v) in values {
-            let n = ((v / max) * width as f64).round().max(0.0) as usize;
-            out.push_str(&format!(
-                "{label:<label_w$} |{}{}| {v:.2}\n",
-                "#".repeat(n.min(width)),
-                " ".repeat(width - n.min(width)),
-            ));
-        }
-        out
-    }
-}
-
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_markdown())
@@ -179,22 +139,5 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         sample().push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn bars_render_scaled() {
-        let bars = sample().to_bars("speedup");
-        assert!(bars.contains("cceh"));
-        assert!(bars.contains("2.31"));
-        // the max row gets the full bar width
-        let cceh_line = bars.lines().find(|l| l.starts_with("cceh")).unwrap();
-        let echo_line = bars.lines().find(|l| l.starts_with("echo")).unwrap();
-        let hashes = |l: &str| l.chars().filter(|&c| c == '#').count();
-        assert!(hashes(cceh_line) > hashes(echo_line));
-    }
-
-    #[test]
-    fn bars_handle_missing_column() {
-        assert!(sample().to_bars("nope").contains("no column"));
     }
 }

@@ -124,6 +124,68 @@ fn shards_then_resume_assemble_the_reference_table() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Quick Figure 2: 28 windowed legs on two workers.
+const FIG02: &[&str] = &["fig02", "--workers", "2"];
+
+#[test]
+fn fig02_shard_resume_and_warm_rerun_go_through_the_cache() {
+    // Figure 2 used to parse --shard and --cache-dir and ignore both:
+    // every run printed the whole table and no cache dir was created.
+    let reference = sweep(FIG02);
+    assert!(
+        reference.status.success(),
+        "stderr: {}",
+        stderr_of(&reference)
+    );
+    assert!(stdout_of(&reference).contains("### Figure 2"));
+
+    let dir = tmpdir("fig02");
+    let dir_s = dir.to_str().unwrap();
+    let mut argv = FIG02.to_vec();
+    argv.extend(["--cache-dir", dir_s, "--shard", "0/2"]);
+    let out = sweep(&argv);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert!(
+        !stdout_of(&out).contains('|'),
+        "a half-complete shard must suppress the table"
+    );
+    assert!(stderr_of(&out).contains("partial sweep"));
+    assert!(dir.is_dir(), "the shard must fill the cache dir");
+
+    // Assemble: the other shard's 14 legs simulate, the journaled 14
+    // answer from the cache, including the windowed (`alldone=0`)
+    // outcomes through the codec.
+    let mut argv = FIG02.to_vec();
+    argv.extend(["--cache-dir", dir_s, "--resume"]);
+    let out = sweep(&argv);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert_eq!(
+        stdout_of(&reference),
+        stdout_of(&out),
+        "shard + --resume must reassemble the exact table"
+    );
+    assert!(
+        stderr_of(&out).contains("14 cached + 14 simulated"),
+        "{}",
+        stderr_of(&out)
+    );
+
+    let stats = dir.join("stats.json");
+    let mut argv = FIG02.to_vec();
+    argv.extend([
+        "--cache-dir",
+        dir_s,
+        "--cache-stats",
+        stats.to_str().unwrap(),
+    ]);
+    let warm = sweep(&argv);
+    assert!(warm.status.success(), "stderr: {}", stderr_of(&warm));
+    assert_eq!(stdout_of(&reference), stdout_of(&warm));
+    let warm_stats = std::fs::read_to_string(&stats).unwrap();
+    assert!(warm_stats.contains("\"simulated\":0"), "{warm_stats}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn traffic_subcommand_runs_and_caches() {
     let dir = tmpdir("traffic");
@@ -153,10 +215,12 @@ fn traffic_subcommand_runs_and_caches() {
 fn bad_usage_exits_two() {
     for argv in [
         vec![],                           // no sweep name
-        vec!["fig13"],                    // unknown sweep
+        vec!["fig99"],                    // unknown sweep
+        vec!["fig08", "traffic"],         // traffic runs alone
         vec!["fig08", "--shard", "2/2"],  // index out of range
         vec!["fig08", "--resume"],        // resume without cache
         vec!["fig08", "--ops", "banana"], // malformed number
+        vec!["fig10", "--ops", "0"],      // no ops: 0/0 speedups
     ] {
         let out = sweep(&argv);
         assert_eq!(

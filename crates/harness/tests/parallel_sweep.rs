@@ -3,7 +3,7 @@
 //! result — per-sim determinism plus ordered collection means only the
 //! wall clock differs from a serial run.
 
-use asap_harness::experiments::{fig08_performance, fig08_specs, ExperimentScale};
+use asap_harness::experiments::{fig08_specs, figure_tables, ExperimentScale};
 use asap_harness::{pool, run_once, RunOutcome};
 
 /// A sub-quick scale: the equivalence property is scale-independent and
@@ -50,10 +50,11 @@ fn deterministic_across_worker_counts() {
 
 #[test]
 fn repeated_parallel_tables_identical() {
-    // End to end through the figure function: repeated parallel runs
+    // End to end through the figure catalogue: repeated parallel runs
     // must render byte-identical tables.
-    let a = fig08_performance(test_scale());
-    let b = fig08_performance(test_scale());
-    assert_eq!(a.to_markdown(), b.to_markdown());
-    assert_eq!(a.to_csv(), b.to_csv());
+    let a = figure_tables("fig08", test_scale());
+    let b = figure_tables("fig08", test_scale());
+    assert_eq!(a, b);
+    assert_eq!(a[0].to_markdown(), b[0].to_markdown());
+    assert_eq!(a[0].to_csv(), b[0].to_csv());
 }

@@ -5,10 +5,10 @@
 
 use asap_harness::args::{Shard, SweepArgs};
 use asap_harness::cache::{encode_outcome, run_spec_digest, OutcomeCache};
-use asap_harness::exec::{sweep_run_once, sweep_traffic};
+use asap_harness::exec::{sweep_legs, sweep_traffic, Leg, SweepReport};
 use asap_harness::traffic::TrafficScale;
-use asap_harness::RunSpec;
-use asap_sim_core::{Flavor, ModelKind, SimConfig};
+use asap_harness::{RunOutcome, RunSpec};
+use asap_sim_core::{Cycle, Flavor, ModelKind, SimConfig};
 use asap_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
 
@@ -34,14 +34,15 @@ fn tiny_specs() -> Vec<RunSpec> {
 
 fn sweep_args(cache_dir: Option<&Path>) -> SweepArgs {
     SweepArgs {
-        full: false,
-        seed: None,
-        workers: None,
-        progress: false,
         cache_dir: cache_dir.map(|p| p.to_str().expect("utf8 dir").to_string()),
-        resume: false,
-        shard: None,
+        ..SweepArgs::default()
     }
+}
+
+/// Sweep `specs` as complete legs.
+fn sweep(label: &str, specs: &[RunSpec], sa: &SweepArgs) -> (Vec<Option<RunOutcome>>, SweepReport) {
+    let legs: Vec<Leg> = specs.iter().cloned().map(Leg::complete).collect();
+    sweep_legs(label, &legs, sa)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -54,7 +55,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// comparison a table rendering would make, but field-exact. The
 /// `wallns` provenance token is stripped: wall clock is the one field
 /// excluded from `RunOutcome` equality and from every table.
-fn encoded(outs: &[Option<asap_harness::RunOutcome>]) -> Vec<String> {
+fn encoded(outs: &[Option<RunOutcome>]) -> Vec<String> {
     outs.iter()
         .map(|o| {
             encode_outcome(o.as_ref().expect("complete sweep"))
@@ -72,12 +73,12 @@ fn warm_cache_reproduces_identical_outcomes_without_simulating() {
     let specs = tiny_specs();
     let sa = sweep_args(Some(&dir));
 
-    let (cold, cold_report) = sweep_run_once("t", &specs, &sa);
+    let (cold, cold_report) = sweep("t", &specs, &sa);
     assert!(cold_report.complete);
     assert_eq!(cold_report.cached, 0);
     assert_eq!(cold_report.simulated, specs.len());
 
-    let (warm, warm_report) = sweep_run_once("t", &specs, &sa);
+    let (warm, warm_report) = sweep("t", &specs, &sa);
     assert!(warm_report.complete);
     assert_eq!(warm_report.cached, specs.len(), "every leg must hit");
     assert_eq!(warm_report.simulated, 0, "a warm run simulates nothing");
@@ -94,7 +95,7 @@ fn corrupted_entry_is_re_simulated_never_misread() {
     let dir = tmpdir("corrupt");
     let specs = tiny_specs();
     let sa = sweep_args(Some(&dir));
-    let (cold, _) = sweep_run_once("t", &specs, &sa);
+    let (cold, _) = sweep("t", &specs, &sa);
 
     // Flip payload bytes of leg 1's entry while keeping the file shape.
     let cache = OutcomeCache::open(&dir).unwrap();
@@ -102,7 +103,7 @@ fn corrupted_entry_is_re_simulated_never_misread() {
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, text.replace("cycles=", "cycles=9")).unwrap();
 
-    let (warm, report) = sweep_run_once("t", &specs, &sa);
+    let (warm, report) = sweep("t", &specs, &sa);
     assert_eq!(report.cached, specs.len() - 1);
     assert_eq!(report.simulated, 1, "the corrupted leg must re-run");
     assert_eq!(
@@ -118,7 +119,7 @@ fn resume_skips_finished_legs_and_matches_bytes() {
     let dir = tmpdir("resume");
     let specs = tiny_specs();
     let sa = sweep_args(Some(&dir));
-    let (cold, _) = sweep_run_once("t", &specs, &sa);
+    let (cold, _) = sweep("t", &specs, &sa);
 
     // Simulate a kill after two legs: drop the other two cache entries
     // and their journal lines (a real kill simply never wrote them).
@@ -146,7 +147,7 @@ fn resume_skips_finished_legs_and_matches_bytes() {
         resume: true,
         ..sweep_args(Some(&dir))
     };
-    let (resumed, report) = sweep_run_once("t", &specs, &sa_resume);
+    let (resumed, report) = sweep("t", &specs, &sa_resume);
     assert!(report.complete);
     assert_eq!(report.simulated, 2, "only the unfinished legs re-run");
     assert_eq!(report.resumed, 2, "the journaled legs count as resumed");
@@ -160,7 +161,7 @@ fn resume_skips_finished_legs_and_matches_bytes() {
     let mut torn = std::fs::read_to_string(&journal).unwrap();
     torn.push_str("done 3 abc"); // truncated digest, no newline
     std::fs::write(&journal, torn).unwrap();
-    let (again, report) = sweep_run_once("t", &specs, &sa_resume);
+    let (again, report) = sweep("t", &specs, &sa_resume);
     assert!(report.complete);
     assert_eq!(report.simulated, 0);
     assert_eq!(encoded(&cold), encoded(&again));
@@ -171,14 +172,14 @@ fn resume_skips_finished_legs_and_matches_bytes() {
 fn shards_compose_into_the_full_sweep() {
     let dir = tmpdir("shard");
     let specs = tiny_specs();
-    let (reference, _) = sweep_run_once("t", &specs, &sweep_args(None));
+    let (reference, _) = sweep("t", &specs, &sweep_args(None));
 
     // Shard 0 into the shared dir: half the legs run, half are skipped.
     let sa0 = SweepArgs {
         shard: Some(Shard { index: 0, of: 2 }),
         ..sweep_args(Some(&dir))
     };
-    let (outs, report) = sweep_run_once("t", &specs, &sa0);
+    let (outs, report) = sweep("t", &specs, &sa0);
     assert!(!report.complete, "half a sweep must not claim completeness");
     assert_eq!(report.simulated, 2);
     assert_eq!(report.shard_skipped, 2);
@@ -192,7 +193,7 @@ fn shards_compose_into_the_full_sweep() {
         shard: Some(Shard { index: 1, of: 2 }),
         ..sweep_args(Some(&dir))
     };
-    let (_, report) = sweep_run_once("t", &specs, &sa1);
+    let (_, report) = sweep("t", &specs, &sa1);
     assert!(
         report.complete,
         "the last shard sees the whole sweep cached"
@@ -201,11 +202,82 @@ fn shards_compose_into_the_full_sweep() {
     assert_eq!(report.simulated, 2);
 
     // Final assembly pass over the shared cache: all hits, no sims.
-    let (full, report) = sweep_run_once("t", &specs, &sweep_args(Some(&dir)));
+    let (full, report) = sweep("t", &specs, &sweep_args(Some(&dir)));
     assert!(report.complete);
     assert_eq!(report.cached, specs.len());
     assert_eq!(report.simulated, 0);
     assert_eq!(encoded(&reference), encoded(&full));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn duplicate_legs_fold_into_one_simulation() {
+    let dir = tmpdir("fold");
+    let base = tiny_specs();
+    // Legs 2 and 5 repeat legs 0 and 3.
+    let specs = [0, 1, 0, 2, 3, 2].map(|i| base[i].clone());
+    let (reference, _) = sweep("t", &base, &sweep_args(None));
+
+    let (outs, report) = sweep("t", &specs, &sweep_args(Some(&dir)));
+    assert!(report.complete);
+    assert_eq!(report.legs, 6);
+    assert_eq!(report.simulated, 4, "each distinct digest runs once");
+    assert_eq!(report.folded, 2);
+    assert!(
+        report.to_json().contains("\"folded\":2"),
+        "{}",
+        report.to_json()
+    );
+    let pick = |idx: &[usize]| -> Vec<_> { idx.iter().map(|&i| outs[i].clone()).collect() };
+    assert_eq!(encoded(&pick(&[0, 1, 3, 4])), encoded(&reference));
+    assert_eq!(encoded(&outs), encoded(&pick(&[0, 1, 0, 3, 4, 3])));
+
+    // Warm: only the distinct legs are probed.
+    let (_, report) = sweep("t", &specs, &sweep_args(Some(&dir)));
+    assert_eq!((report.cached, report.simulated, report.folded), (4, 0, 2));
+
+    // Shards split the distinct legs (0, 1, 3, 4), and a folded leg
+    // follows its owner.
+    let sa0 = SweepArgs {
+        shard: Some(Shard { index: 0, of: 2 }),
+        ..sweep_args(None)
+    };
+    let (outs, report) = sweep("t", &specs, &sa0);
+    assert_eq!((report.simulated, report.shard_skipped), (2, 2));
+    let present: Vec<bool> = outs.iter().map(Option::is_some).collect();
+    assert_eq!(present, [true, false, true, true, false, true]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn windowed_legs_key_by_window_and_round_trip() {
+    let spec = tiny_specs().remove(0);
+    // Complete legs keep the key every existing cache was written with.
+    assert_eq!(
+        Leg::complete(spec.clone()).digest(),
+        run_spec_digest(&spec, "complete")
+    );
+    let w30 = Leg::windowed(spec.clone(), Cycle(30_000));
+    assert_eq!(
+        w30.digest(),
+        run_spec_digest(&spec.clone().windowed(), "window=30000")
+    );
+    assert_ne!(
+        w30.digest(),
+        Leg::windowed(spec.clone(), Cycle(40_000)).digest()
+    );
+
+    let dir = tmpdir("window");
+    let legs = [w30, Leg::complete(spec)];
+    let (cold, report) = sweep_legs("w", &legs, &sweep_args(Some(&dir)));
+    assert_eq!(report.simulated, 2, "a window and a complete run differ");
+    assert!(
+        !cold[0].as_ref().unwrap().all_done,
+        "the window cuts the run"
+    );
+    let (warm, report) = sweep_legs("w", &legs, &sweep_args(Some(&dir)));
+    assert_eq!(report.cached, 2);
+    assert_eq!(encoded(&cold), encoded(&warm));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

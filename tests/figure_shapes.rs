@@ -1,8 +1,21 @@
 //! Regression tests pinning the *shapes* of the paper's figures at quick
 //! scale: if a refactor flips who wins (or kills a crossover the paper
 //! highlights), these fail before the full-scale report does.
+//!
+//! `catalogue_matches_tiny_golden` pins the exact bytes of every table
+//! in the figure catalogue at a tiny scale, so a change that only
+//! restructures how figures are run must leave
+//! `tests/fixtures/figures_tiny.md` untouched. After a deliberate change
+//! to the simulated behaviour, regenerate it with
+//!
+//! ```text
+//! cargo test -q --test figure_shapes golden -- --nocapture
+//! ```
+//!
+//! and copy the `--- got ---` block into the fixture.
 
-use asap::harness::experiments::{abl_mc_count, fig09_writes, fig13_bandwidth, ExperimentScale};
+use asap::harness::args::SweepArgs;
+use asap::harness::experiments::{figure_tables, run_figures, ExperimentScale, CATALOGUE};
 use asap::harness::{run_once, RunSpec};
 use asap::sim::{Cycle, Flavor, ModelKind, SimConfig};
 use asap::workloads::WorkloadKind;
@@ -78,7 +91,7 @@ fn fig08_shape_hops_ep_below_baseline_on_queue() {
 /// average (it usually persists fewer).
 #[test]
 fn fig09_shape_write_counts() {
-    let t = fig09_writes(tiny());
+    let t = &figure_tables("fig09", tiny())[0];
     let avg: f64 = t.cell_f64("average", "normalized").expect("average row");
     assert!(avg < 1.10, "ASAP/HOPS write ratio too high: {avg}");
 }
@@ -113,7 +126,7 @@ fn fig10_shape_part_scaling() {
 /// alternating-MC probe.
 #[test]
 fn fig13_shape_bandwidth_utilization() {
-    let t = fig13_bandwidth(tiny());
+    let t = &figure_tables("fig13", tiny())[0];
     let base = t
         .cell_f64("baseline", "utilization_pct")
         .expect("baseline row");
@@ -127,7 +140,9 @@ fn fig13_shape_bandwidth_utilization() {
 /// single-thread ordering probe.
 #[test]
 fn multi_mc_motivation_holds() {
-    let t = abl_mc_count(tiny());
+    let t = figure_tables("ablations", tiny())
+        .pop()
+        .expect("the MC-count ablation is the last table");
     let one = t.cell_f64("1", "asap_over_hops").expect("1-MC row");
     let four = t.cell_f64("4", "asap_over_hops").expect("4-MC row");
     assert!(
@@ -160,4 +175,31 @@ fn fig12_shape_rt_bounded() {
         seed: 42,
     });
     assert_eq!(out.rt_max_occupancy, 0, "BBB must not use recovery tables");
+}
+
+/// Every table of the catalogue, run as one sweep at a tiny scale, is
+/// byte-identical to the fixture (rendered as `asap_sweep all` prints).
+#[test]
+fn catalogue_matches_tiny_golden() {
+    let golden = include_str!("fixtures/figures_tiny.md");
+    let scale = ExperimentScale {
+        ops: 12,
+        window: Cycle(30_000),
+        seed: 1,
+    };
+    let figs: Vec<_> = CATALOGUE.iter().collect();
+    let (tables, report) = run_figures("all", &figs, scale, &SweepArgs::default());
+    assert_eq!(report.legs, 364);
+    assert_eq!(report.simulated, 218, "each distinct leg runs once");
+    let got: String = tables
+        .expect("an unsharded sweep is complete")
+        .iter()
+        .map(|t| format!("{}\n", t.to_markdown()))
+        .collect();
+    assert!(
+        got == golden,
+        "figure tables drifted from tests/fixtures/figures_tiny.md — if the \
+         change is intentional, regenerate it (see module docs).\n\
+         --- got ---\n{got}\n--- expected ---\n{golden}"
+    );
 }
