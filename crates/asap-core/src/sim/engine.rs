@@ -504,7 +504,7 @@ impl Engine {
             let c = &mut self.cores[i];
             let occ = c.pb.len();
             let dt = now.saturating_sub(c.pb_occ_last).raw();
-            self.stats.pb_occupancy.record_weighted(occ, dt);
+            self.stats.pb_occupancy.record_n(occ as u64, dt);
             c.pb_occ_last = now;
             // An open blocked interval stays open: a later slice of a
             // `run_for` run keeps counting it from here.
@@ -512,16 +512,8 @@ impl Engine {
                 self.stats.cycles_blocked += now.saturating_sub(s).raw();
                 c.pb_blocked_since = Some(now);
             }
-            self.stats.et_occupancy.record(c.et.len());
         }
         self.stats.ops_completed = self.cores.iter().map(|c| c.ops_completed).sum();
-        let rt_max = self
-            .mcs
-            .iter()
-            .map(|m| m.rt().max_occupancy())
-            .max()
-            .unwrap_or(0);
-        self.stats.rt_occupancy.record(rt_max);
         let wpq_coalesced: u64 = self.mcs.iter().map(|m| m.wpq_coalesced()).sum();
         self.stats.wpq_coalesced = wpq_coalesced;
     }
@@ -658,7 +650,7 @@ impl Engine {
 
     pub(super) fn note_pb_occ_change(&mut self, t: usize, occ_before: usize) {
         let dt = self.now.saturating_sub(self.cores[t].pb_occ_last).raw();
-        self.stats.pb_occupancy.record_weighted(occ_before, dt);
+        self.stats.pb_occupancy.record_n(occ_before as u64, dt);
         self.cores[t].pb_occ_last = self.now;
     }
 

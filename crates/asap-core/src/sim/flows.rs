@@ -258,9 +258,7 @@ impl Engine {
                     self.cores[t].et.add_write(epoch.ts);
                 }
                 self.stats.entries_inserted += 1;
-                if tracked {
-                    self.note_pb_occ_change(t, occ_before);
-                }
+                self.note_pb_occ_change(t, occ_before);
                 self.schedule_flush(t);
                 true
             }

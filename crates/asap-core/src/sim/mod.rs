@@ -210,8 +210,8 @@ impl SimBuilder {
 
 /// The system simulator. See the module docs for the model semantics.
 ///
-/// `Sim` pairs the model-agnostic [`engine`] with the
-/// [`model::PersistencyModel`] chosen at build time (held as the
+/// `Sim` pairs the model-agnostic `engine` with the
+/// `model::PersistencyModel` chosen at build time (held as the
 /// closed-world `ModelDispatch` enum so hooks dispatch statically);
 /// every protocol decision flows through the trait's hooks, never
 /// through a `ModelKind` branch in the engine.
@@ -266,9 +266,9 @@ impl Sim {
 
     /// Take ownership of the statistics block, leaving a zeroed one
     /// behind. End-of-run extraction should prefer this over
-    /// `stats().clone()`: the block carries four occupancy histograms
-    /// whose clone is pure churn when the simulator is about to be
-    /// dropped anyway.
+    /// `stats().clone()`: the block carries the ~30 KB PB-occupancy
+    /// histogram, whose clone is pure churn when the simulator is about
+    /// to be dropped anyway.
     pub fn take_stats(&mut self) -> Stats {
         std::mem::take(&mut self.engine.stats)
     }
@@ -447,7 +447,7 @@ impl Sim {
 
     /// Non-destructive crash check: like [`Sim::crash_and_check`] but
     /// recovery runs on a *clone* of the NVM image (battery drains via
-    /// [`model preview hooks`](model::PersistencyModel::on_crash_preview),
+    /// the model's `on_crash_preview` hook,
     /// recovery-table undo via cloned tables), leaving the simulation
     /// able to keep running. The crash-space explorer calls this at
     /// every surviving crash point of a single re-run; parity with the
@@ -597,10 +597,13 @@ mod tests {
     }
 
     /// Pins of two runs whose event streams stress the queue hardest,
-    /// recorded on the four-ary heap queue the timing wheel replaced:
-    /// the digests must not move under any event-queue change.
-    const SAMPLER_RUN_DIGEST: u64 = 0x298c_c8d1_7e6d_35eb;
-    const CRASH_RUN_DIGEST: u64 = 0xc01f_5e4e_4fca_34f4;
+    /// recorded on the four-ary heap queue the timing wheel replaced and
+    /// re-pinned once for the `Stats` layout alone (PB occupancy as a
+    /// `LogHistogram`, no RT/ET/WPQ histograms; all text before
+    /// `pb_occupancy`, and its buckets, unchanged): the digests must not
+    /// move under any event-queue change.
+    const SAMPLER_RUN_DIGEST: u64 = 0x7703_816b_81de_b032;
+    const CRASH_RUN_DIGEST: u64 = 0xf5db_dff0_8ac4_d1c3;
 
     /// `Event::Sample` reschedules itself through the queue, interleaved
     /// with same-cycle core and MC events; the emitted CSV row stream and

@@ -331,8 +331,10 @@ fn main() {
     if let Some(path) = arg(&argv, "--json") {
         if path == "-" {
             println!("{}", report.to_json());
+        } else if let Err(e) = std::fs::write(&path, report.to_json()) {
+            eprintln!("error: cannot write --json {path}: {e}");
+            std::process::exit(2);
         } else {
-            std::fs::write(&path, report.to_json()).expect("write JSON report");
             eprintln!("# JSON report written to {path}");
         }
     }

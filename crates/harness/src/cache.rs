@@ -23,7 +23,7 @@
 
 use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
-use asap_sim_core::{Histogram, LogHistogram, Stats};
+use asap_sim_core::{LogHistogram, Stats};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -43,9 +43,10 @@ pub fn fnv1a(text: &str) -> u64 {
 }
 
 /// Cache key of a closed-loop sweep leg. `mode` distinguishes run
-/// styles that share a spec but execute differently (`"complete"` for
-/// [`crate::run_once`]; windowed/ROI runs would pass `"window:N"` /
-/// `"roi:N"`). Every field that can change the outcome is folded in.
+/// styles that share a spec but execute differently: `"complete"` for
+/// [`crate::run_once`], `"window=<cycles>"` for a windowed leg (see
+/// [`crate::exec::Leg::digest`]). Every field that can change the
+/// outcome is folded in.
 pub fn run_spec_digest(spec: &RunSpec, mode: &str) -> u64 {
     fnv1a(&format!(
         "run cfg={:016x} model={} flavor={} workload={} threads={} ops={} seed={} mode={mode}",
@@ -85,43 +86,9 @@ pub fn traffic_spec_digest(spec: &TrafficSpec) -> u64 {
 // Outcome codecs
 // -------------------------------------------------------------------
 
-/// Render a dense occupancy histogram as `v:c,v:c,…` (or `-` if empty).
-fn enc_hist(h: &Histogram) -> String {
-    let pairs = h.nonzero_buckets();
-    if pairs.is_empty() {
-        return "-".to_string();
-    }
-    pairs
-        .iter()
-        .map(|&(v, c)| format!("{v}:{c}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn dec_hist(s: &str) -> Option<Histogram> {
-    Some(Histogram::from_buckets(&dec_pairs(s)?))
-}
-
-/// Parse a `v:c,v:c,…` sparse bucket list (`-` = empty); zero counts
-/// are rejected — no record stream produces them.
-fn dec_pairs(s: &str) -> Option<Vec<(usize, u64)>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split(',')
-        .map(|p| {
-            let (v, c) = p.split_once(':')?;
-            let c: u64 = c.parse().ok()?;
-            if c == 0 {
-                return None;
-            }
-            Some((v.parse().ok()?, c))
-        })
-        .collect()
-}
-
 /// Render a [`LogHistogram`] as `sum;min;max;buckets` — the exact
-/// aggregates plus the sparse counts, everything `from_parts` needs.
+/// aggregates plus the sparse `bucket:count,…` list (`-` if empty),
+/// everything `from_parts` needs.
 fn enc_log(h: &LogHistogram) -> String {
     let pairs = h.nonzero_buckets();
     let buckets = if pairs.is_empty() {
@@ -136,12 +103,23 @@ fn enc_log(h: &LogHistogram) -> String {
     format!("{};{};{};{}", h.sum(), h.min_raw(), h.max(), buckets)
 }
 
+/// Parse [`enc_log`]'s form; `from_parts` rejects anything no record
+/// stream produces (zero counts, out-of-range buckets).
 fn dec_log(s: &str) -> Option<LogHistogram> {
     let mut it = s.splitn(4, ';');
     let sum: u128 = it.next()?.parse().ok()?;
     let min_raw: u64 = it.next()?.parse().ok()?;
     let max: u64 = it.next()?.parse().ok()?;
-    let buckets = dec_pairs(it.next()?)?;
+    let buckets = match it.next()? {
+        "-" => Vec::new(),
+        list => list
+            .split(',')
+            .map(|p| {
+                let (b, c) = p.split_once(':')?;
+                Some((b.parse().ok()?, c.parse().ok()?))
+            })
+            .collect::<Option<Vec<_>>>()?,
+    };
     LogHistogram::from_parts(&buckets, sum, min_raw, max)
 }
 
@@ -191,13 +169,7 @@ pub fn encode_outcome(o: &RunOutcome) -> String {
         };
     }
     stats_scalar_fields!(push!(o,));
-    out.push_str(&format!(
-        " pb_occ={} rt_occ={} et_occ={} wpq_occ={}",
-        enc_hist(&o.stats.pb_occupancy),
-        enc_hist(&o.stats.rt_occupancy),
-        enc_hist(&o.stats.et_occupancy),
-        enc_hist(&o.stats.wpq_occupancy),
-    ));
+    out.push_str(&format!(" pb_occ={}", enc_log(&o.stats.pb_occupancy)));
     out
 }
 
@@ -229,10 +201,7 @@ pub fn decode_outcome(line: &str) -> Option<RunOutcome> {
         };
     }
     stats_scalar_fields!(read!(m,));
-    stats.pb_occupancy = dec_hist(m.remove("pb_occ")?)?;
-    stats.rt_occupancy = dec_hist(m.remove("rt_occ")?)?;
-    stats.et_occupancy = dec_hist(m.remove("et_occ")?)?;
-    stats.wpq_occupancy = dec_hist(m.remove("wpq_occ")?)?;
+    stats.pb_occupancy = dec_log(m.remove("pb_occ")?)?;
     let manifest = RunManifest {
         model: m.remove("model")?.parse().ok()?,
         flavor: m.remove("flavor")?.parse().ok()?,
@@ -402,8 +371,9 @@ impl OutcomeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Leg;
     use crate::runner::run_once;
-    use asap_sim_core::{Flavor, ModelKind, SimConfig};
+    use asap_sim_core::{Cycle, Flavor, ModelKind, SimConfig};
     use asap_workloads::WorkloadKind;
 
     fn tiny_spec() -> RunSpec {
@@ -458,6 +428,28 @@ mod tests {
     }
 
     #[test]
+    fn dense_occupancy_format_is_a_miss() {
+        // An entry written before PB occupancy became a `LogHistogram`:
+        // dense `value:count` buckets and three more occupancy keys.
+        let old = "kind=run cycles=25394 ops=48 rtmax=0 mwrites=172 \
+            mutil=3fc381c8cbb8244b alldone=1 model=hops flavor=RP workload=cceh \
+            threads=4 opst=12 seed=42 cfg=b406ffbf70e597b2 wallns=603148 \
+            cycles_blocked=29580 cycles_stalled=0 dfence_stalled=40092 \
+            entries_inserted=172 inter_t_epoch_conflict=1 tot_spec_writes=0 \
+            total_undo=0 ofence_stalled=0 nvm_writes=172 nvm_reads=83 \
+            xpbuffer_hits=0 total_delay=0 nacks=0 commit_msgs=0 cdr_msgs=0 \
+            pb_coalesced=0 wpq_coalesced=0 mc_suppressed_writes=0 \
+            epochs_created=266 epochs_committed=266 total_cycles=25394 \
+            ops_completed=48 loads=261 stores=172 global_ts_reads=1 \
+            flush_hints=0 pb_occ=0:58830,1:12513,2:10836,3:10793,4:8604 \
+            rt_occ=0:1 et_occ=1:4 wpq_occ=-";
+        assert!(decode_outcome(old).is_none(), "unknown occupancy keys");
+        // Without them the dense `pb_occ` still does not parse.
+        let pb_only = old.split(" rt_occ=").next().unwrap();
+        assert!(decode_outcome(pb_only).is_none(), "dense pb_occ");
+    }
+
+    #[test]
     fn run_digest_is_sensitive_to_every_axis() {
         let base = tiny_spec();
         let d = run_spec_digest(&base, "complete");
@@ -482,7 +474,7 @@ mod tests {
             run_spec_digest(&ops, "complete"),
             run_spec_digest(&work, "complete"),
             run_spec_digest(&cfg, "complete"),
-            run_spec_digest(&base, "window:200000"),
+            Leg::windowed(base.clone(), Cycle(200_000)).digest(),
         ];
         for (i, &other) in digests.iter().enumerate() {
             assert_ne!(d, other, "axis {i} must change the digest");

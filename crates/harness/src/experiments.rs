@@ -16,7 +16,7 @@ use crate::args::SweepArgs;
 use crate::exec::{complete_outcomes, sweep_legs, Leg, SweepReport};
 use crate::hwcost;
 use crate::report::{f2, Table};
-use crate::runner::{run_once, RunOutcome, RunSpec};
+use crate::runner::{RunOutcome, RunSpec};
 use asap_core::{Flavor, ModelKind};
 use asap_sim_core::{Cycle, SimConfig, SimConfigBuilder};
 use asap_workloads::WorkloadKind;
@@ -746,20 +746,10 @@ fn abl_mc_count(outs: &[RunOutcome]) -> Table {
     t
 }
 
-/// Convenience: the Table VI stat listing for one run (gem5-style).
-pub fn stats_txt(
-    model: ModelKind,
-    flavor: Flavor,
-    w: WorkloadKind,
-    scale: ExperimentScale,
-) -> String {
-    let out: RunOutcome = run_once(&spec(model, flavor, w, scale));
-    out.stats.snapshot().to_stats_txt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_once;
     use std::collections::HashSet;
 
     fn tiny() -> ExperimentScale {

@@ -253,7 +253,7 @@ fn outcome(
     started: Instant,
 ) -> RunOutcome {
     // The simulator is done measuring: move the stats out instead of
-    // cloning the histograms (visible on multi-thousand-run sweeps).
+    // cloning the histogram (visible on multi-thousand-run sweeps).
     let stats = sim.take_stats();
     let mut manifest = RunManifest::of_spec(spec);
     manifest.wall = started.elapsed();

@@ -1,6 +1,6 @@
 //! End-to-end tests for the `crash_explore` binary: worker-count
 //! independence of the report bytes, the broken-model fixture contract,
-//! the coverage assertions, and the result cache.
+//! the coverage assertions, the result cache and an unwritable `--json` path.
 
 use std::process::{Command, Output};
 
@@ -120,6 +120,21 @@ fn malformed_budget_exits_two_naming_flag_and_value() {
     let out = explore(&["--prune", "sometimes"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("sometimes"));
+}
+
+#[test]
+fn unwritable_json_path_exits_two_naming_flag_and_path() {
+    let path = std::env::temp_dir()
+        .join(format!("crash_explore_no_dir_{}", std::process::id()))
+        .join("report.json");
+    let path_s = path.to_str().expect("utf8 temp dir");
+    let mut args = QUICK.to_vec();
+    args.extend(["--json", path_s]);
+    let out = explore(&args);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("error: cannot write --json"), "{err}");
+    assert!(err.contains(path_s), "{err}");
 }
 
 #[test]

@@ -65,6 +65,7 @@ fn sliced_run_matches_whole_run() {
                     whole.stats().snapshot().to_stats_txt(),
                     "{cell}: counters"
                 );
+                assert_eq!(sliced.stats(), whole.stats(), "{cell}: stats");
             }
         }
     }

@@ -196,7 +196,6 @@ impl MemController {
             stats.nvm_writes += 1;
             stats.tot_spec_writes += 1;
             stats.total_undo += 1;
-            stats.rt_occupancy.record(self.rt.occupancy());
             self.xp.touch(idx);
             FlushOutcome::Accepted {
                 accept_at: now,
@@ -247,7 +246,6 @@ impl MemController {
             FlushAction::Delayed => {
                 stats.total_delay += 1;
                 stats.tot_spec_writes += 1;
-                stats.rt_occupancy.record(self.rt.occupancy());
                 FlushOutcome::Accepted {
                     accept_at: now,
                     action,
@@ -282,7 +280,6 @@ impl MemController {
             done = self.wpq.occupy_media(done, self.wpq.write_occupancy());
             stats.nvm_writes += 1;
         }
-        stats.rt_occupancy.record(self.rt.occupancy());
         // The ack departs once the RT bookkeeping is done; delay-record
         // media writes are in the ADR domain so the ack does not wait for
         // them.

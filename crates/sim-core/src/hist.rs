@@ -1,12 +1,11 @@
-//! Constant-memory streaming histograms for cycle-scale latencies.
+//! Constant-memory streaming histograms.
 //!
-//! The dense [`crate::Histogram`] allocates one bucket per distinct
-//! value — fine for buffer occupancies (≤ 64), fatal for request
-//! latencies measured in cycles (a p99.9 of 2 M cycles would allocate a
-//! 16 MB counts vector *per series*). [`LogHistogram`] is the
-//! HDR-histogram-style fix: exact unit buckets below 64, then 64
-//! sub-buckets per power-of-two octave, for a fixed ~30 KB footprint
-//! covering the full `u64` range with bounded relative error.
+//! [`LogHistogram`] is HDR-histogram-style: unit buckets below 128, then
+//! 64 sub-buckets per power-of-two octave, for a fixed ~30 KB footprint
+//! covering the full `u64` range with bounded relative error. It keeps
+//! the simulator's time-weighted persist-buffer occupancy (at most 64 per
+//! core in every configuration, so exact) and the traffic frontend's
+//! request latencies, whose p99.9 can reach millions of cycles.
 //!
 //! [`LatencySplit`] bundles three of them to carry the per-request
 //! queueing-delay vs service-time decomposition used by the open-loop
@@ -25,7 +24,8 @@ const NUM_BUCKETS: usize = SUB + OCTAVES * SUB;
 /// A log-bucketed streaming histogram over `u64` samples with constant
 /// memory and bounded relative error.
 ///
-/// Values below 64 are counted exactly (unit buckets). Above that, each
+/// Values below 128 are counted exactly (unit buckets: the linear range
+/// 0..63 and the 64 sub-buckets of the octave 64..127). Above that, each
 /// power-of-two octave is split into 64 sub-buckets, so a bucket
 /// spanning `[lo, lo + w)` always has `w ≤ lo / 64`. Percentiles report
 /// the bucket midpoint, making the worst-case relative error
@@ -153,11 +153,10 @@ impl LogHistogram {
 
     /// The `p`-th percentile (0.0..=100.0), or 0 if empty.
     ///
-    /// Uses the same rank convention as the dense
-    /// [`crate::Histogram`]: `rank = ceil(p/100 · count)`, clamped to at
-    /// least 1. The returned value is the midpoint of the bucket holding
-    /// the ranked sample, within [`LogHistogram::REL_ERROR`] of the
-    /// exact sample (and exact for samples below 64).
+    /// The rank is `ceil(p/100 · count)`, clamped to at least 1. The
+    /// returned value is the midpoint of the bucket holding the ranked
+    /// sample, within [`LogHistogram::REL_ERROR`] of the exact sample
+    /// (and exact for samples below 128).
     ///
     /// # Panics
     ///
@@ -296,16 +295,50 @@ mod tests {
     #[test]
     fn small_values_are_exact() {
         let mut h = LogHistogram::new();
-        for v in 0..64u64 {
+        for v in 0..128u64 {
             h.record(v);
         }
-        assert_eq!(h.count(), 64);
+        assert_eq!(h.count(), 128);
         assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 63);
-        // Every percentile of a 0..64 uniform set is the exact value.
-        for v in 0..64u64 {
-            let p = (v + 1) as f64 / 64.0 * 100.0;
+        assert_eq!(h.max(), 127);
+        // Every percentile of a 0..128 uniform set is the exact value.
+        for v in 0..128u64 {
+            let p = (v + 1) as f64 / 128.0 * 100.0;
             assert_eq!(h.percentile(p), v, "p{p}");
+        }
+    }
+
+    #[test]
+    fn weighted_records_and_boundary_ranks() {
+        // 90 samples at 0, 10 samples at 10 (time-weighted occupancy).
+        let mut h = LogHistogram::new();
+        h.record_n(0, 90);
+        h.record_n(10, 10);
+        assert_eq!(h.count(), 100);
+        assert!((h.mean() - 1.0).abs() < 1e-9);
+        assert_eq!(h.percentile(89.0), 0);
+        // p90's rank lands exactly on the last 0-sample; the first rank
+        // past it moves to the next bucket.
+        assert_eq!(h.percentile(90.0), 0);
+        assert_eq!(h.percentile(90.5), 10);
+        assert_eq!(h.percentile(99.0), 10);
+        assert_eq!(h.percentile(100.0), 10);
+    }
+
+    #[test]
+    fn percentile_zero_is_smallest_recorded_value() {
+        let mut h = LogHistogram::new();
+        h.record(3);
+        h.record(5);
+        h.record(9);
+        // p=0 clamps to rank 1: the smallest recorded value, not bucket 0.
+        assert_eq!(h.percentile(0.0), 3);
+        assert_eq!(LogHistogram::new().percentile(0.0), 0);
+        // A single-sample histogram answers every percentile with it.
+        let mut one = LogHistogram::new();
+        one.record(7);
+        for p in [0.0, 50.0, 100.0] {
+            assert_eq!(one.percentile(p), 7, "p{p}");
         }
     }
 
@@ -406,10 +439,43 @@ mod tests {
     }
 
     #[test]
+    fn merge_is_commutative_and_associative() {
+        let mut a = LogHistogram::new();
+        a.record_n(0, 40);
+        a.record_n(2, 3);
+        a.record(7);
+        let mut b = LogHistogram::new();
+        b.record_n(1, 12);
+        b.record_n(90, 2);
+        let mut c = LogHistogram::new();
+        c.record_n(4, 5);
+
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+
+        let mut ab_c = ab.clone();
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a.clone();
+        a_bc.merge(&bc);
+        assert_eq!(ab_c, a_bc);
+    }
+
+    #[test]
     fn record_n_zero_is_noop() {
         let mut h = LogHistogram::new();
         h.record_n(123, 0);
         assert!(h.is_empty());
+        // On a non-empty histogram too, min and max included.
+        h.record_n(10, 3);
+        let before = h.clone();
+        h.record_n(5, 0);
+        h.record_n(200, 0);
+        assert_eq!(h, before);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * [`SimConfig`] — the hardware configuration from Table II, with a
 //!   builder for sensitivity studies.
 //! * [`Stats`] — simulation counters using the exact stat names from
-//!   Table VI of the paper's artifact appendix, plus occupancy
-//!   histograms used by Figures 11 and 12.
+//!   Table VI of the paper's artifact appendix, plus the time-weighted
+//!   persist-buffer occupancy histogram of Figure 11.
 //! * [`LogHistogram`] / [`LatencySplit`] — constant-memory HDR-style
-//!   latency reducers with bounded relative error, for the open-loop
-//!   traffic frontend's percentile tables.
+//!   histograms with bounded relative error (exact below 128): PB
+//!   occupancy, and the open-loop traffic frontend's latency tables.
 //! * [`DetRng`] — a seeded deterministic random number generator so every
 //!   experiment is exactly reproducible.
 //! * [`LineTable`] — per-run address interning ([`LineAddr`] →
@@ -64,7 +64,7 @@ pub use ids::{EpochId, LineAddr, McId, ThreadId, CACHE_LINE_BYTES, CACHE_LINE_SH
 pub use intern::{mix64, LineIdx, LineTable};
 pub use rng::DetRng;
 pub use sample::Sampler;
-pub use stats::{Histogram, RunningStat, StatSnapshot, Stats};
+pub use stats::{StatSnapshot, Stats};
 pub use time::{Cycle, CYCLES_PER_NS};
 pub use trace::{
     env_trace_enabled, render_record, trace_value_enables, ChromeTracer, NullTracer, SharedBuf,

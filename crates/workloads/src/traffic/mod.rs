@@ -7,12 +7,12 @@
 //! especially its tail — under a given offered load. This module supplies
 //! that frontend:
 //!
-//! - [`arrivals`]-style open-loop arrival processes (fixed, Poisson,
+//! - `arrivals`-style open-loop arrival processes (fixed, Poisson,
 //!   bursty MMPP, diurnal ramp), all on the deterministic [`DetRng`];
-//! - Zipf-skewed key popularity via [`KeySampler`](crate::KeySampler);
+//! - Zipf-skewed key popularity via [`KeySampler`];
 //! - [`generate`]: a `(config, seed)` pair deterministically expanded
 //!   into a time-ordered request bank;
-//! - a text [`trace`] format so banks can be exported, inspected and
+//! - a text `trace` format so banks can be exported, inspected and
 //!   replayed byte-identically;
 //! - [`RequestService`] adapters mapping requests onto the WHISPER apps'
 //!   persist-critical sections (memcached, echo, nstore);
